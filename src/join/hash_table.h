@@ -37,9 +37,13 @@ struct JoinMatch {
 /// occupancy never exceeds `load_factor` (= f); the footprint per entry is
 /// therefore c/f. Duplicate keys are supported (linear-probe multimap).
 ///
-/// Concurrency: `Insert` is thread-safe (per-slot CAS claim, release-store
-/// publish). `Probe` must only run after all inserts are complete, which the
-/// scheduler guarantees via the blocking build->probe dependency.
+/// Concurrency: `Insert` and `InsertBatch` are thread-safe. A row claims
+/// its slot with a per-slot CAS on the tag and publishes it with a release
+/// store; no other write is shared per row. The entry count is added once
+/// per call (once per batch for InsertBatch), and slot memory is not
+/// zero-filled: a slot's bytes are only read behind its published tag.
+/// `Probe` and `size()` must only run after all inserts are complete, which
+/// the scheduler guarantees via the blocking build->probe dependency.
 class JoinHashTable {
  public:
   /// `num_key_cols` is 1 or 2; payload rows are packed `payload_schema`
@@ -64,7 +68,8 @@ class JoinHashTable {
   /// slots in batch order — equivalent to calling Insert per row.
   /// `hash_scratch` is caller-owned so repeated calls allocate nothing;
   /// it holds the batch hashes on return (LIP filters reuse them).
-  /// Thread-safe. Returns the number of prefetches issued.
+  /// Thread-safe; adds `n` to size() once, after the whole batch.
+  /// Returns the number of prefetches issued.
   uint64_t InsertBatch(const uint64_t* keys, const std::byte* payloads,
                        uint32_t n, int prefetch_distance,
                        std::vector<uint64_t>* hash_scratch);
@@ -107,6 +112,7 @@ class JoinHashTable {
   int num_key_cols() const { return num_key_cols_; }
   double load_factor() const { return load_factor_; }
 
+  /// Entries inserted; exact once every Insert/InsertBatch call returned.
   uint64_t size() const {
     return num_entries_.load(std::memory_order_relaxed);
   }
@@ -132,7 +138,7 @@ class JoinHashTable {
   }
 
   /// One claim-and-publish insert starting the linear probe at the slot
-  /// for `hash`; shared by Insert and InsertBatch.
+  /// for `hash`; shared by Insert and InsertBatch. Does not count the entry.
   void InsertWithHash(const uint64_t* key, uint64_t hash,
                       const std::byte* payload);
 

@@ -252,10 +252,15 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
                                     PipelineMode mode) {
   const std::string fingerprint =
       catalog_->CardinalityFingerprint(tables) + KnobFingerprint(mode);
+  // The mode is part of the key, not only of the fingerprint, so that
+  // fused and vectorized connections running one template each keep an
+  // entry instead of invalidating each other's.
+  const std::string cache_key =
+      key + (mode == PipelineMode::kFused ? "#fused" : "#vectorized");
 
   PlanCacheEntry entry;
   const PlanCache::Outcome outcome =
-      plan_cache_.Lookup(key, fingerprint, &entry);
+      plan_cache_.Lookup(cache_key, fingerprint, &entry);
   bool hit = outcome == PlanCache::Outcome::kHit;
   switch (outcome) {
     case PlanCache::Outcome::kHit: cache_hits_counter_->Increment(); break;
@@ -325,7 +330,7 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
       entry.radix_bits = radix_bits;
       entry.choices = chooser_.ChoosePlan(*plan, estimates);
       model_evaluations_counter_->Increment();
-      plan_cache_.Insert(key, entry);
+      plan_cache_.Insert(cache_key, entry);
     }
   }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "expr/projection.h"
+#include "operators/key_util.h"
 #include "types/date.h"
 
 namespace uot {
@@ -132,6 +133,17 @@ Status BindValue(const SqlValue& value, const std::vector<SqlValue>& params,
   return Status::InvalidArgument("unsupported column type");
 }
 
+/// Hash-join and GROUP BY keys are widened to one 64-bit word per column,
+/// which only integral, date and CHAR(<=8) columns fit; the operators
+/// CHECK this, so client input is refused here instead.
+Status CheckKeyable(const std::string& what, const std::string& name,
+                    const Type& type) {
+  if (IsKeyableType(type)) return Status::OK();
+  return Status::InvalidArgument(what + " column '" + name + "' has type " +
+                                 type.ToString() +
+                                 ", which cannot be a key");
+}
+
 std::vector<int> AllColumns(const Schema& schema) {
   std::vector<int> cols;
   for (int c = 0; c < schema.num_columns(); ++c) cols.push_back(c);
@@ -195,6 +207,10 @@ Status PlanCompiler::Compile(const SelectStatement& stmt,
     BoundColumn on_left, on_right;
     UOT_RETURN_IF_ERROR(resolver.Resolve(stmt.join.left_column, &on_left));
     UOT_RETURN_IF_ERROR(resolver.Resolve(stmt.join.right_column, &on_right));
+    UOT_RETURN_IF_ERROR(
+        CheckKeyable("join", stmt.join.left_column, on_left.type));
+    UOT_RETURN_IF_ERROR(
+        CheckKeyable("join", stmt.join.right_column, on_right.type));
     if (on_left.side == on_right.side) {
       return Status::InvalidArgument(
           "join condition must compare the two tables");
@@ -225,10 +241,14 @@ Status PlanCompiler::Compile(const SelectStatement& stmt,
                   [](const SqlSelectItem& i) { return i.is_aggregate; });
 
   if (aggregated) {
+    if (stmt.group_by.size() > 3) {
+      return Status::InvalidArgument("at most 3 GROUP BY columns");
+    }
     std::vector<int> group_cols;
     for (const std::string& name : stmt.group_by) {
       BoundColumn col;
       UOT_RETURN_IF_ERROR(resolver.Resolve(name, &col));
+      UOT_RETURN_IF_ERROR(CheckKeyable("GROUP BY", name, col.type));
       group_cols.push_back(current_index(col));
     }
     // The aggregate's output is [group keys..., aggregates...]; out_cols

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/query_executor.h"
@@ -427,8 +428,8 @@ TEST_F(FrontEndTest, FusedModeMatchesVectorizedAndRefingerprints) {
   const Response fused =
       frontend.Handle({sql, "default", PipelineMode::kFused});
   ASSERT_TRUE(fused.ok) << fused.error;
-  // Same template, different knob fingerprint: the cached vectorized entry
-  // is stale for this connection, not a hit.
+  // Same template, different mode: the cached vectorized entry is not
+  // served to this connection.
   EXPECT_EQ(fused.cache, Response::Cache::kMiss);
   EXPECT_EQ(fused.rows_csv, vectorized.rows_csv);
 
@@ -437,6 +438,53 @@ TEST_F(FrontEndTest, FusedModeMatchesVectorizedAndRefingerprints) {
   ASSERT_TRUE(fused_again.ok) << fused_again.error;
   EXPECT_EQ(fused_again.cache, Response::Cache::kHit);
   EXPECT_EQ(fused_again.rows_csv, vectorized.rows_csv);
+}
+
+TEST_F(FrontEndTest, AlternatingModesKeepBothCacheEntries) {
+  FrontEnd frontend(SmallConfig(), &catalog_);
+  // Connections in different modes share templates. Each mode keeps its
+  // own entry, so alternating requests warm up once per mode and never
+  // invalidate each other.
+  const std::string sql = "select count(*) from fact where v < 50";
+  const PipelineMode modes[] = {PipelineMode::kVectorized,
+                                PipelineMode::kFused,
+                                PipelineMode::kVectorized,
+                                PipelineMode::kFused};
+  const Response::Cache expected[] = {
+      Response::Cache::kMiss, Response::Cache::kMiss, Response::Cache::kHit,
+      Response::Cache::kHit};
+  for (int i = 0; i < 4; ++i) {
+    const Response resp = frontend.Handle({sql, "default", modes[i]});
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.cache, expected[i]) << "request " << i;
+    EXPECT_EQ(resp.rows_csv, "50\n") << "request " << i;
+  }
+  EXPECT_EQ(frontend.plan_cache()->invalidations(), 0u);
+  EXPECT_EQ(frontend.plan_cache()->size(), 2u);
+}
+
+TEST_F(FrontEndTest, NonKeyableGroupAndJoinColumnsAreRejected) {
+  FrontEnd frontend(SmallConfig(), &catalog_);
+  // v is DOUBLE: it cannot be a hash key, so the compiler must refuse it
+  // instead of handing the operators a plan they abort on.
+  const std::pair<const char*, const char*> cases[] = {
+      {"select v, count(*) from fact group by v", "cannot be a key"},
+      {"select count(*) from fact join dim on fact.v = dim.k",
+       "cannot be a key"},
+      {"select count(*) from fact join dim on fact.k = dim.v",
+       "cannot be a key"},
+      {"select k, count(*) from fact group by k, k, k, k",
+       "at most 3 GROUP BY columns"}};
+  for (const auto& [sql, error] : cases) {
+    const Response resp = frontend.Handle({sql, "default"});
+    EXPECT_FALSE(resp.ok) << sql;
+    EXPECT_NE(resp.error.find(error), std::string::npos)
+        << sql << ": " << resp.error;
+  }
+  const Response ok = frontend.Handle(
+      {"select k, count(*) from fact group by k", "default"});
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.row_count, 10u);
 }
 
 TEST_F(FrontEndTest, PreparedStatementsShareOneTemplate) {
@@ -749,6 +797,36 @@ TEST_F(FrontEndTest, ConcurrentStopIsSafe) {
   }
   for (std::thread& t : stoppers) t.join();
   EXPECT_EQ(tcp.active_connections(), 0u);
+}
+
+TEST_F(TpchServerTest, WideCharGroupByGetsErrAndServerKeepsServing) {
+  Catalog catalog(storage_);
+  catalog.RegisterTpch(db_);
+  FrontEndConfig config;
+  config.engine.num_workers = 2;
+  config.chooser.threads = 2;
+  FrontEnd frontend(config, &catalog);
+  TextServer tcp(&frontend);
+  ASSERT_TRUE(tcp.Start(0).ok());
+
+  TcpClient client(tcp.port());
+  ASSERT_TRUE(client.connected());
+  // c_mktsegment is CHAR(10), wider than a key word: once a process abort.
+  client.Send(
+      "select c_mktsegment, count(*) from customer group by c_mktsegment\n");
+  std::string reply = client.ReadReply();
+  EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("c_mktsegment"), std::string::npos) << reply;
+
+  client.Send("select count(*) from customer\n");
+  reply = client.ReadReply();
+  EXPECT_EQ(reply.rfind("OK rows=1", 0), 0u) << reply;
+  EXPECT_NE(reply.find("\n" + std::to_string(db_->customer().NumRows()) +
+                       "\n"),
+            std::string::npos)
+      << reply;
+  client.Send("quit\n");
+  tcp.Stop();
 }
 
 TEST(FormatResponseTest, RendersOkAndError) {
