@@ -1,18 +1,14 @@
-// Join-kernel A/B: scalar (tuple-at-a-time) vs batched+software-prefetched
-// build and probe, at in-cache and out-of-cache hash table sizes — the
+// Join-kernel A/B at the hash-table level: tuple-at-a-time Insert/Probe
+// loops vs batched+software-prefetched InsertBatch/ProbeBatch (batch 256,
+// prefetch distance 16), at in-cache and out-of-cache table sizes — the
 // repo's version of the paper's Table VI prefetching experiment. Group
 // prefetching overlaps the batch's independent cache misses, so the win
 // appears once the table outgrows LLC and every probe chain starts with a
-// memory stall.
-//
-// Two levels:
-//   1. Kernel level: raw JoinHashTable Insert/Probe loops vs
-//      InsertBatch/ProbeBatch (batch 256, prefetch distance 16).
-//   2. Plan level: TPC-H Q3 through the scheduler with
-//      ExecConfig::join.kernel flipped, across block sizes and UoT.
+// memory stall. The operators run only the batched kernels; the per-row
+// loops here are the baseline they are measured against.
 //
 // Emits BENCH_join_kernels.json. UOT_JOIN_BENCH_SMALL=1 shrinks the table
-// sizes and scale factor so CI can smoke-test the emitter in seconds.
+// sizes so CI can smoke-test the emitter in seconds.
 
 #include <algorithm>
 #include <cstdio>
@@ -168,7 +164,7 @@ int main() {
   const uint64_t incache_entries = small ? (1ull << 10) : (1ull << 14);
   const uint64_t outcache_entries = small ? (1ull << 14) : (1ull << 22);
 
-  std::printf("Join kernel A/B: scalar vs batched+prefetched "
+  std::printf("Join table operations: per-row vs batched+prefetched "
               "(batch %u, distance %d, best of %d runs)\n\n",
               kBatch, kPrefetchDistance, runs);
 
@@ -197,36 +193,6 @@ int main() {
   json.Set("build_batched_ms_outcache", outcache.build_batched_ms);
   json.Set("build_speedup_outcache",
            outcache.build_scalar_ms / outcache.build_batched_ms);
-
-  // Plan level: TPC-H Q3 (join-heavy) with the kernel switch flipped, over
-  // the block-size grid and both UoT extremes. Shows how much of the kernel
-  // win survives end-to-end, where extraction/emission amortize it.
-  const double sf = small ? std::min(ScaleFactor(), 0.01) : ScaleFactor();
-  std::printf("\nPlan level: TPC-H Q3, SF=%.3f, %d workers\n", sf,
-              Threads());
-  TpchFixture fixture(sf, Layout::kColumnStore, MidBlockBytes());
-  for (const size_t block_bytes : {SmallBlockBytes(), MidBlockBytes()}) {
-    for (const bool whole_table : {false, true}) {
-      TpchPlanConfig plan_config;
-      plan_config.block_bytes = block_bytes;
-      ExecConfig exec;
-      exec.num_workers = Threads();
-      exec.uot = whole_table ? UotPolicy::HighUot() : UotPolicy::LowUot(1);
-      double ms[2] = {0.0, 0.0};
-      for (const JoinKernel kernel :
-           {JoinKernel::kScalar, JoinKernel::kBatched}) {
-        exec.join.kernel = kernel;
-        ms[kernel == JoinKernel::kBatched ? 1 : 0] =
-            TimeQuery(3, fixture.db(), plan_config, exec, runs).best_mean_ms;
-      }
-      const std::string tag = HumanBytes(block_bytes) +
-                              (whole_table ? "_highuot" : "_lowuot");
-      std::printf("  q3 %-14s scalar %8.2f ms   batched %8.2f ms   %4.2fx\n",
-                  tag.c_str(), ms[0], ms[1], ms[0] / ms[1]);
-      json.Set("q3_" + tag + "_scalar_ms", ms[0]);
-      json.Set("q3_" + tag + "_batched_ms", ms[1]);
-    }
-  }
 
   json.Write();
   std::printf("\nTarget: >= 1.3x out-of-cache probe speedup "

@@ -18,8 +18,9 @@ namespace uot {
 namespace fused {
 
 /// A fused pipeline: a select→probe(×N)→aggregate/project chain executed
-/// tuple-at-a-time — the third point on the UoT spectrum (ROADMAP item 3),
-/// beyond block-at-a-time toward "as small as a single tuple".
+/// row group by row group with no intermediate blocks — the third point on
+/// the UoT spectrum (ROADMAP item 3), beyond block-at-a-time toward "as
+/// small as a single tuple".
 ///
 /// Where the vectorized path materializes every interior operator's output
 /// into blocks and transfers them under the UoT policy, a fused chain binds
@@ -30,10 +31,10 @@ namespace fused {
 /// stage. Interior streaming edges transfer zero blocks; pipeline breakers
 /// (hash-table builds, exchanges, sorts) keep their vectorized edges.
 ///
-/// Stage semantics replicate the operators' scalar work orders exactly
-/// (same predicate/LIP/residual/emission logic in the same row order), so
-/// fused output is byte-identical to vectorized output per stage; only the
-/// granule boundaries differ.
+/// Every stage calls its operator's own kernel (SelectOperator::FilterRows,
+/// ProbeHashOperator::ProbeRows, AggregateOperator::Accumulate), the same
+/// one the vectorized work orders run, so fused output is byte-identical to
+/// vectorized output per stage; only the granule boundaries differ.
 class FusedChain {
  public:
   /// Rows per head row group — and the row capacity of every interior
@@ -112,26 +113,33 @@ class FusedChainWorkOrder final : public WorkOrder {
   void Execute() override;
 
  private:
-  /// Runs stage `s` over `sel` rows of `block`, recursing into downstream
-  /// stages as output granules fill. `sel` is stage-local scratch and is
-  /// clobbered.
-  void ExecStage(size_t s, const Block& block, std::vector<uint32_t>* sel);
+  /// Runs stage `s` over rows [begin, end) of `block`, recursing into
+  /// downstream stages as output granules fill. Every stage input is a
+  /// contiguous range: a head row group, or a whole interior granule.
+  void ExecStage(size_t s, const Block& block, uint32_t begin, uint32_t end);
 
-  void ExecSelect(size_t s, const Block& block, std::vector<uint32_t>* sel);
-  void ExecProbe(size_t s, const Block& block, std::vector<uint32_t>* sel);
-  void ExecAggregate(size_t s, const Block& block,
-                     std::vector<uint32_t>* sel);
+  void ExecSelect(size_t s, const Block& block, uint32_t begin, uint32_t end);
+  void ExecProbe(size_t s, const Block& block, uint32_t begin, uint32_t end);
+  void ExecAggregate(size_t s, const Block& block, uint32_t begin,
+                     uint32_t end);
 
   /// Pushes the rows buffered in stage `s`'s scratch granule through the
   /// downstream stages, then clears the granule.
   void FlushScratch(size_t s);
 
+  /// Stage `s`'s selection vector, reset to rows [begin, end).
+  std::vector<uint32_t>* ResetSelection(size_t s, uint32_t begin,
+                                        uint32_t end);
+
   const Block* const block_;
   FusedChain* const chain_;
 
-  // Execute-scoped state (the work order is single-use).
+  // Execute-scoped state (the work order is single-use). Scratch is per
+  // stage: a flush in the middle of a probe's emission runs the downstream
+  // stages, which must not clobber the upstream stage's buffers.
   std::vector<std::unique_ptr<Block>> scratch_;   // [stage], interior only
   std::vector<std::vector<uint32_t>> sels_;       // [stage]
+  std::vector<ProbeHashOperator::ProbeScratch> probe_scratch_;  // [stage]
   std::unique_ptr<InsertDestination::Writer> writer_;  // non-aggregate tail
   AggregateOperator::GroupMap partial_;           // aggregate tail
 };

@@ -98,13 +98,15 @@ class AggregateOperator final : public Operator {
   };
   using GroupMap = std::unordered_map<GroupKey, std::vector<AggState>, KeyHash>;
 
+  /// The aggregation kernel, shared by AggregateWorkOrder and fused
+  /// aggregate stages: filters `sel` (ascending row ids of `block`) by the
+  /// fused predicate, then folds the surviving rows into the caller-owned
+  /// partial `groups`.
+  void Accumulate(const Block& block, std::vector<uint32_t>* sel,
+                  GroupMap* groups) const;
+
   /// Merges a work order's partial result (called from worker threads).
   void MergePartial(GroupMap&& partial);
-
-  const Schema& input_schema() const { return input_schema_; }
-  const std::vector<int>& group_cols() const { return group_cols_; }
-  const std::vector<AggSpec>& aggs() const { return aggs_; }
-  const Predicate* predicate() const { return predicate_.get(); }
 
  private:
   const Schema input_schema_;
@@ -119,27 +121,17 @@ class AggregateOperator final : public Operator {
   GroupMap groups_;
 };
 
-/// Aggregates one input block into a partial group table.
+/// Aggregates one input block into a partial group table and merges it.
 class AggregateWorkOrder final : public WorkOrder {
  public:
-  AggregateWorkOrder(const Block* block, AggregateOperator* op,
-                     const std::vector<int>* group_cols,
-                     const std::vector<AggSpec>* aggs,
-                     const Predicate* predicate)
-      : block_(block),
-        op_(op),
-        group_cols_(group_cols),
-        aggs_(aggs),
-        predicate_(predicate) {}
+  AggregateWorkOrder(const Block* block, AggregateOperator* op)
+      : block_(block), op_(op) {}
 
   void Execute() override;
 
  private:
   const Block* const block_;
   AggregateOperator* const op_;
-  const std::vector<int>* const group_cols_;
-  const std::vector<AggSpec>* const aggs_;
-  const Predicate* const predicate_;
 };
 
 }  // namespace uot

@@ -48,9 +48,12 @@ class SelectOperator final : public Operator {
       std::vector<std::unique_ptr<WorkOrder>>* out) override;
   void Finish() override;
 
+  /// The select kernel, shared by SelectWorkOrder and fused select
+  /// stages: keeps the rows of `sel` (ascending row ids of `block`) that
+  /// pass the predicate and then every LIP filter.
+  void FilterRows(const Block& block, std::vector<uint32_t>* sel) const;
+
   const Projection& projection() const { return *projection_; }
-  const Predicate& predicate() const { return *predicate_; }
-  const std::vector<LipAttachment>& lip_filters() const { return lip_; }
   InsertDestination* destination() const { return destination_; }
   /// The streaming/base input, exposed so a fused pipeline driver can pull
   /// this operator's pending blocks when it acts as a chain head.
@@ -64,27 +67,17 @@ class SelectOperator final : public Operator {
   StreamingInput input_;
 };
 
-/// Executes the select logic on one input block.
+/// Filters and projects one input block into the operator's destination.
 class SelectWorkOrder final : public WorkOrder {
  public:
-  SelectWorkOrder(const Block* block, const Predicate* predicate,
-                  const Projection* projection,
-                  const std::vector<LipAttachment>* lip,
-                  InsertDestination* destination)
-      : block_(block),
-        predicate_(predicate),
-        projection_(projection),
-        lip_(lip),
-        destination_(destination) {}
+  SelectWorkOrder(const Block* block, const SelectOperator* op)
+      : block_(block), op_(op) {}
 
   void Execute() override;
 
  private:
   const Block* const block_;
-  const Predicate* const predicate_;
-  const Projection* const projection_;
-  const std::vector<LipAttachment>* const lip_;
-  InsertDestination* const destination_;
+  const SelectOperator* const op_;
 };
 
 }  // namespace uot

@@ -71,10 +71,10 @@ struct ExecConfig {
   /// low-UoT strategy its near-zero intermediate footprint (Table II).
   /// Blocks feeding several consumers are kept.
   bool drop_consumed_blocks = true;
-  /// Hash-join kernel selection and batching knobs (batch size, prefetch
-  /// distance). The session binds these to every operator before work-order
-  /// generation; the batched and scalar kernels produce byte-identical
-  /// output, so flipping `join.kernel` is a pure A/B switch.
+  /// Batching knobs of the join kernels (batch size, prefetch distance).
+  /// The session binds these to every operator before work-order
+  /// generation; vectorized work orders and fused stages run the same
+  /// kernels under them.
   JoinKernelConfig join;
   /// Soft memory budget in bytes (0 = unlimited): while total tracked
   /// memory exceeds it, new work orders are deferred — except that one

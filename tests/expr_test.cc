@@ -352,42 +352,60 @@ TEST_P(ExprTest, AsColumnRefIdentifiesBareColumns) {
   EXPECT_EQ(arith->as_column_ref(), nullptr);
 }
 
-TEST_P(ExprTest, CompareKernelsAreAPureABSwitch) {
-  // The branch-free (auto-vectorizable) kernel and the historical branchy
-  // kernel must keep exactly the same rows in the same order, for every
-  // operator, against both a literal (hoisted-constant path) and a column
-  // (vector path) right operand, on full and pre-shrunk selections.
-  const CompareKernel saved = GetCompareKernel();
+/// `a op b`, one row at a time: the reference for the compare kernel.
+bool ReferenceCompare(CompareOp op, double a, double b) {
+  switch (op) {
+    case CompareOp::kEq:
+      return a == b;
+    case CompareOp::kNe:
+      return a != b;
+    case CompareOp::kLt:
+      return a < b;
+    case CompareOp::kLe:
+      return a <= b;
+    case CompareOp::kGt:
+      return a > b;
+    case CompareOp::kGe:
+      return a >= b;
+  }
+  return false;
+}
+
+TEST_P(ExprTest, CompareFilterMatchesPerRowReference) {
+  // The branch-free compare kernel must keep exactly the rows a plain
+  // per-row loop keeps, in the same order, for every operator, against
+  // both a literal (hoisted-constant path) and a column (vector path)
+  // right operand, on full and pre-shrunk selections. Row i holds
+  // id = i and price = 10 * i.
   const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                             CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
   for (const CompareOp op : kOps) {
     for (const bool literal_rhs : {true, false}) {
-      auto make_pred = [&] {
-        return literal_rhs
-                   ? Cmp(op, Col(1, Type::Double()), LitDouble(95.0))
-                   : Cmp(op, Col(1, Type::Double()),
-                         Mul(Col(0, Type::Int32()), LitDouble(11.0)));
+      auto pred = literal_rhs
+                      ? Cmp(op, Col(1, Type::Double()), LitDouble(95.0))
+                      : Cmp(op, Col(1, Type::Double()),
+                            Mul(Col(0, Type::Int32()), LitDouble(11.0)));
+      auto reference = [&](const std::vector<uint32_t>& sel) {
+        std::vector<uint32_t> kept;
+        for (const uint32_t r : sel) {
+          const double price = 10.0 * r;
+          const double rhs = literal_rhs ? 95.0 : 11.0 * r;
+          if (ReferenceCompare(op, price, rhs)) kept.push_back(r);
+        }
+        return kept;
       };
-      SetCompareKernel(CompareKernel::kScalar);
-      const std::vector<uint32_t> scalar_full =
-          make_pred()->FilterAll(block_);
-      SetCompareKernel(CompareKernel::kBranchFree);
-      const std::vector<uint32_t> branch_free_full =
-          make_pred()->FilterAll(block_);
-      EXPECT_EQ(branch_free_full, scalar_full)
+      std::vector<uint32_t> all(block_.num_rows());
+      for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+      EXPECT_EQ(pred->FilterAll(block_), reference(all))
           << "op=" << static_cast<int>(op) << " literal=" << literal_rhs;
 
-      std::vector<uint32_t> subset = {1, 3, 4, 9, 12, 17, 19};
-      std::vector<uint32_t> scalar_subset = subset;
-      SetCompareKernel(CompareKernel::kScalar);
-      make_pred()->Filter(block_, &scalar_subset);
-      SetCompareKernel(CompareKernel::kBranchFree);
-      make_pred()->Filter(block_, &subset);
-      EXPECT_EQ(subset, scalar_subset)
+      const std::vector<uint32_t> subset = {1, 3, 4, 9, 12, 17, 19};
+      std::vector<uint32_t> filtered = subset;
+      pred->Filter(block_, &filtered);
+      EXPECT_EQ(filtered, reference(subset))
           << "op=" << static_cast<int>(op) << " literal=" << literal_rhs;
     }
   }
-  SetCompareKernel(saved);
 }
 
 TEST_P(ExprTest, ToStringRendersTree) {

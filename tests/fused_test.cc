@@ -13,10 +13,12 @@
 
 #include "exec/engine.h"
 #include "exec/query_executor.h"
-#include "model/uot_chooser.h"
 #include "expr/predicate.h"
 #include "expr/projection.h"
+#include "fused/fused_pipeline.h"
 #include "fused/pipeline_fuser.h"
+#include "model/uot_chooser.h"
+#include "obs/metrics.h"
 #include "plan/plan_builder.h"
 #include "plan/query_plan.h"
 #include "scheduler/execution_stats.h"
@@ -270,6 +272,120 @@ TEST_F(FusedChainTest, EmptySelectionProducesIdenticalEmptyAggregates) {
       Run(PipelineMode::kFused, -1.0, false, false, &rows_into_agg);
   EXPECT_EQ(fus, vec);
   EXPECT_EQ(rows_into_agg, 0u);
+}
+
+/// A [select ->] probe1 -> probe2 chain whose first probe multiplies its
+/// input: every probe key has `kDup` build rows in dim1, so one 1024-row
+/// group emits kDup x 1024 rows and its granule fills — and flushes into
+/// probe2 — several times in the middle of probe1's kernel run. The probe
+/// table's blocks hold more than one row group. With `select_head` false
+/// probe1 heads the chain and probes row groups [base, base + 1024) of its
+/// base-table blocks directly.
+constexpr int kDup = 4;
+
+std::unique_ptr<QueryPlan> MakeOverflowPlan(StorageManager* storage,
+                                            const Table& probe,
+                                            const Table& dim1,
+                                            const Table& dim2,
+                                            bool select_head, JoinKind kind2,
+                                            bool residual2) {
+  PlanBuilderConfig config;
+  config.block_bytes = 2048;
+  PlanBuilder builder(storage, config);
+  BuildHashOperator* build1 =
+      builder.Build("build1", PlanBuilder::Base(dim1), {0}, {1});
+  BuildHashOperator* build2 =
+      builder.Build("build2", PlanBuilder::Base(dim2), {0}, {1});
+  PlanBuilder::Src head = PlanBuilder::Base(probe);
+  std::vector<PlanBuilder::Src> chain;
+  if (select_head) {
+    head = builder.Select(
+        "sel", head, Cmp(CompareOp::kGe, Col(1, Type::Double()),
+                         LitDouble(0.0)),
+        Projection::Identity(probe.schema(), {0, 1}));
+    chain.push_back(head);
+  }
+  // (k, v, dim1.v): kDup output rows per probe row.
+  PlanBuilder::Src probe1 = builder.Probe("probe1", head, build1, {0}, {0, 1});
+  chain.push_back(probe1);
+  std::vector<ResidualCondition> residuals;
+  // Keep the pair when probe.v < 40 * dim2.v (about one pair in seven).
+  if (residual2) residuals.push_back({1, 0, CompareOp::kLt, 40.0});
+  PlanBuilder::Src probe2 =
+      builder.Probe("probe2", probe1, build2, {0}, {0, 1, 2}, kind2,
+                    std::move(residuals));
+  chain.push_back(probe2);
+  builder.AnnotateFusedPipeline(chain);
+  return builder.Finish(probe2);
+}
+
+TEST(FusedOverflowTest, GranuleFlushMidKernelMatchesVectorized) {
+  StorageManager storage;
+  // 64 KB blocks of 12-byte rows: ~5400 rows, i.e. several row groups.
+  std::unique_ptr<Table> probe = MakeKvTable(&storage, "probe", 6000, 64,
+                                             Layout::kRowStore, 64 << 10);
+  ASSERT_GT(probe->blocks().front()->num_rows(),
+            2 * fused::FusedChain::kRowGroupRows);
+  std::unique_ptr<Table> dim1 = MakeKvTable(&storage, "dim1", 64 * kDup, 64);
+  // Keys 48..63 miss dim2, so semi and anti both emit rows.
+  std::unique_ptr<Table> dim2 = MakeKvTable(&storage, "dim2", 48, 48);
+
+  struct Variant {
+    const char* name;
+    JoinKind kind;
+    bool residual;
+  };
+  const Variant kVariants[] = {{"inner", JoinKind::kInner, false},
+                               {"inner+residual", JoinKind::kInner, true},
+                               {"semi", JoinKind::kLeftSemi, false},
+                               {"anti", JoinKind::kLeftAnti, false}};
+  for (const bool select_head : {true, false}) {
+    for (const Variant& v : kVariants) {
+      const std::string label = std::string(v.name) +
+                                (select_head ? " select-head" : " probe-head");
+      std::unique_ptr<QueryPlan> vec_plan = MakeOverflowPlan(
+          &storage, *probe, *dim1, *dim2, select_head, v.kind, v.residual);
+      QueryExecutor::Execute(vec_plan.get(),
+                             ModeConfig(PipelineMode::kVectorized));
+      const std::string expected = CanonicalRows(*vec_plan->result_table());
+      ASSERT_FALSE(expected.empty()) << label;
+
+      std::unique_ptr<QueryPlan> fused_plan = MakeOverflowPlan(
+          &storage, *probe, *dim1, *dim2, select_head, v.kind, v.residual);
+      const ExecutionStats stats = QueryExecutor::Execute(
+          fused_plan.get(), ModeConfig(PipelineMode::kFused));
+      CheckFusedInvariants(*fused_plan, stats, label);
+      ASSERT_EQ(stats.fused_chains.size(), 1u) << label;
+      const std::vector<FusedStageStats>& stages =
+          stats.fused_chains[0].stages;
+      const FusedStageStats& probe1 = stages[stages.size() - 2];
+      ASSERT_EQ(probe1.name, "probe1") << label;
+      EXPECT_EQ(probe1.rows_in, probe->NumRows()) << label;
+      EXPECT_EQ(probe1.rows_out, kDup * probe->NumRows()) << label;
+      EXPECT_EQ(CanonicalRows(*fused_plan->result_table()), expected)
+          << label;
+    }
+  }
+}
+
+TEST(FusedObservabilityTest, FusedProbesReportJoinKernelMetrics) {
+  // Every probe of the chain plan runs inside the fused chain, so the
+  // probe-kernel counters can only come from fused stages.
+  StorageManager storage;
+  std::unique_ptr<Table> probe = MakeKvTable(&storage, "probe", 5000, 96);
+  std::unique_ptr<Table> dim1 = MakeKvTable(&storage, "dim1", 96, 96);
+  std::unique_ptr<Table> dim2 = MakeKvTable(&storage, "dim2", 96, 96);
+  std::unique_ptr<QueryPlan> plan =
+      MakeChainPlan(&storage, *probe, *dim1, *dim2, 2500.0, true, false);
+  obs::MetricsRegistry metrics;
+  ExecConfig config = ModeConfig(PipelineMode::kFused);
+  config.metrics = &metrics;
+  const ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
+  ASSERT_EQ(stats.fused_chains.size(), 1u);
+  ASSERT_EQ(stats.fused_chains[0].ops.size(), 4u);
+  const obs::Counter* batches = metrics.FindCounter("join.probe.batches");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_GT(batches->Value(), 0u);
 }
 
 TEST(FusedTpchTest, AllSupportedQueriesMatchVectorized) {

@@ -2,6 +2,9 @@
 
 #include "baseline/materializing_engine.h"
 #include "exec/query_executor.h"
+#include "join/hash_table.h"
+#include "operators/key_util.h"
+#include "operators/numeric_util.h"
 #include "operators/nested_loops_join_operator.h"
 #include "operators/select_operator.h"
 #include "operators/sort_merge_join_operator.h"
@@ -447,8 +450,8 @@ TEST_F(OperatorsTest, ThreeColumnGroupKeys) {
 }
 
 /// Serializes every row of `t` in block/row order as raw packed bytes —
-/// the strict comparator for scalar-vs-batched kernel parity: identical
-/// strings mean byte-identical output in identical order.
+/// the strict comparator for kernel-vs-reference parity: identical strings
+/// mean byte-identical output in identical order.
 std::string TableBytes(const Table& t) {
   std::string out;
   std::vector<std::byte> row(t.schema().row_width());
@@ -461,20 +464,80 @@ std::string TableBytes(const Table& t) {
   return out;
 }
 
-/// Runs `spec` under both kernels (everything else identical) and asserts
-/// byte-identical output. MaterializingEngine drives single-threaded, so
-/// build insert order — and therefore probe chain order — is deterministic.
+/// The row-at-a-time reference hash join, on JoinHashTable::Insert/Probe:
+/// inserts build rows one by one in block/row order, then probes each probe
+/// row alone, checking residuals per candidate. Returns the output rows'
+/// packed bytes in emission order.
+std::string ReferenceJoinBytes(StorageManager* storage, const Table& probe,
+                               const Table& build,
+                               const MaterializingEngine::JoinSpec& spec) {
+  const Schema payload_schema = SubSchema(build.schema(), spec.build_payload);
+  const size_t payload_width = payload_schema.row_width();
+  JoinHashTable table(payload_schema,
+                      static_cast<int>(spec.build_keys.size()),
+                      spec.load_factor, &storage->tracker());
+  table.Reserve(build.NumRows());
+  std::vector<std::byte> payload(payload_width);
+  uint64_t key[2] = {0, 0};
+  for (const Block* b : build.blocks()) {
+    for (uint32_t r = 0; r < b->num_rows(); ++r) {
+      ExtractKey(*b, spec.build_keys, r, key);
+      ExtractColumns(*b, spec.build_payload, payload_schema, r,
+                     payload.data());
+      table.Insert(key, payload.data());
+    }
+  }
+
+  const Schema probe_part = SubSchema(probe.schema(), spec.probe_out);
+  std::vector<std::byte> probe_row(probe_part.row_width());
+  std::string out;
+  for (const Block* b : probe.blocks()) {
+    for (uint32_t r = 0; r < b->num_rows(); ++r) {
+      ExtractKey(*b, spec.probe_keys, r, key);
+      ExtractColumns(*b, spec.probe_out, probe_part, r, probe_row.data());
+      const std::string probe_bytes(
+          reinterpret_cast<const char*>(probe_row.data()), probe_row.size());
+      bool any_match = false;
+      table.Probe(key, [&](const std::byte* match) {
+        for (const ResidualCondition& rc : spec.residuals) {
+          const double probe_val =
+              LoadNumeric(b->schema().column(rc.probe_col).type,
+                          b->Column(rc.probe_col).at(r));
+          const double build_val =
+              rc.scale *
+              LoadNumeric(payload_schema.column(rc.payload_col).type,
+                          match + payload_schema.offset(rc.payload_col));
+          if (!CompareValues(rc.op, probe_val, build_val)) return;
+        }
+        any_match = true;
+        if (spec.kind == JoinKind::kInner) {
+          out += probe_bytes;
+          out.append(reinterpret_cast<const char*>(match), payload_width);
+        }
+      });
+      if ((spec.kind == JoinKind::kLeftSemi && any_match) ||
+          (spec.kind == JoinKind::kLeftAnti && !any_match)) {
+        out += probe_bytes;
+      }
+    }
+  }
+  return out;
+}
+
+/// Runs `spec` through the build/probe operators and asserts output
+/// byte-identical to the row-at-a-time reference. MaterializingEngine
+/// drives single-threaded, so build insert order — and therefore probe
+/// chain order — is deterministic.
 void ExpectKernelParity(StorageManager* storage, const Table& probe,
                         const Table& build,
-                        MaterializingEngine::JoinSpec spec,
+                        const MaterializingEngine::JoinSpec& spec,
                         const char* label) {
   MaterializingEngine engine(storage);
-  spec.join.kernel = JoinKernel::kScalar;
-  auto scalar_out = engine.HashJoin(probe, build, spec);
-  spec.join.kernel = JoinKernel::kBatched;
-  auto batched_out = engine.HashJoin(probe, build, spec);
-  ASSERT_EQ(batched_out->NumRows(), scalar_out->NumRows()) << label;
-  EXPECT_EQ(TableBytes(*batched_out), TableBytes(*scalar_out)) << label;
+  auto out = engine.HashJoin(probe, build, spec);
+  const std::string expected = ReferenceJoinBytes(storage, probe, build, spec);
+  ASSERT_EQ(out->NumRows() * out->schema().row_width(), expected.size())
+      << label;
+  EXPECT_EQ(TableBytes(*out), expected) << label;
 }
 
 TEST_F(OperatorsTest, BatchedKernelParityInnerSemiAnti) {
@@ -498,8 +561,8 @@ TEST_F(OperatorsTest, BatchedKernelParityInnerSemiAnti) {
 TEST_F(OperatorsTest, BatchedKernelParityBatchBoundaries) {
   // Probe row counts straddling the batch size, including a final partial
   // batch and tiny blocks (few rows per block), for several batch sizes
-  // and prefetch distances (0 disables prefetch, below-threshold batches
-  // take the scalar-resolve path internally).
+  // and prefetch distances (0 disables prefetch, and batches below
+  // kMinRowsForPrefetch resolve without it).
   auto build = MakeKvTable(&storage_, "build", 60, 30);
   for (const int batch : {1, 8, 256}) {
     for (const uint64_t rows :

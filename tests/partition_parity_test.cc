@@ -1,9 +1,8 @@
 // Differential parity harness for the radix-partitioned hash join (ISSUE 7
 // tentpole anchor): seeded randomized join trees execute through
-// {unpartitioned, radix_bits 1..6} x {scalar, batched kernel} x
-// {fixed, model-annotated, adaptive UoT} and every configuration must
-// produce byte-identical sorted results, with per-edge transfer-count
-// invariants holding on every run.
+// {unpartitioned, radix_bits 1..6} x {fixed, model-annotated, adaptive UoT}
+// and every configuration must produce byte-identical sorted results, with
+// per-edge transfer-count invariants holding on every run.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +57,7 @@ void AnnotateWithModel(QueryPlan* plan) {
 }
 
 /// Transfer-count invariants that must hold on every run regardless of
-/// partitioning, kernel or UoT policy.
+/// partitioning or UoT policy.
 void CheckTransferInvariants(const QueryPlan& plan,
                              const ExecutionStats& stats, int radix_bits,
                              int num_joins, const std::string& label) {
@@ -121,10 +120,9 @@ void CheckTransferInvariants(const QueryPlan& plan,
 }
 
 std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
-                    int radix_bits, bool batched, PolicyMode policy) {
+                    int radix_bits, PolicyMode policy) {
   const std::string label = query.Description() +
-                            " radix=" + std::to_string(radix_bits) +
-                            (batched ? " batched " : " scalar ") +
+                            " radix=" + std::to_string(radix_bits) + " " +
                             PolicyName(policy);
   std::unique_ptr<QueryPlan> plan = query.MakePlan(storage, radix_bits);
   if (policy == PolicyMode::kModel) AnnotateWithModel(plan.get());
@@ -132,7 +130,6 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
   ExecConfig config;
   config.num_workers = 2;
   config.uot = UotPolicy::LowUot(2);
-  config.join.kernel = batched ? JoinKernel::kBatched : JoinKernel::kScalar;
   if (policy == PolicyMode::kAdaptive) {
     config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
   }
@@ -161,26 +158,22 @@ TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
     RandomJoinQuery query(&storage, static_cast<uint64_t>(seed));
     SCOPED_TRACE(query.Description());
 
-    // Reference: unpartitioned, scalar kernel, fixed UoT.
+    // Reference: unpartitioned, fixed UoT.
     const std::string expected =
-        RunOnce(&storage, query, 0, false, PolicyMode::kFixed);
+        RunOnce(&storage, query, 0, PolicyMode::kFixed);
 
-    // Unpartitioned with the other kernel and a cycling policy.
-    EXPECT_EQ(RunOnce(&storage, query, 0, true,
+    // Unpartitioned with a cycling policy.
+    EXPECT_EQ(RunOnce(&storage, query, 0,
                       kPolicies[static_cast<size_t>(seed) % 3]),
               expected);
 
-    // One radix depth per seed (cycling through 1..6), against the full
-    // {kernel} x {policy} matrix: over the seed loop every
-    // (radix, kernel, policy) combination is exercised many times.
+    // One radix depth per seed (cycling through 1..6), against every
+    // policy: over the seed loop every (radix, policy) combination is
+    // exercised many times.
     const int radix_bits = 1 + seed % 6;
-    for (bool batched : {false, true}) {
-      for (PolicyMode policy : kPolicies) {
-        EXPECT_EQ(RunOnce(&storage, query, radix_bits, batched, policy),
-                  expected)
-            << "radix=" << radix_bits << " batched=" << batched << " "
-            << PolicyName(policy);
-      }
+    for (PolicyMode policy : kPolicies) {
+      EXPECT_EQ(RunOnce(&storage, query, radix_bits, policy), expected)
+          << "radix=" << radix_bits << " " << PolicyName(policy);
     }
   }
 }
@@ -193,10 +186,9 @@ TEST(PartitionParityTest, DeepRadixSweepOnOneSkewedQuery) {
   RandomJoinQuery query(&storage, 7);
   SCOPED_TRACE(query.Description());
   const std::string expected =
-      RunOnce(&storage, query, 0, false, PolicyMode::kFixed);
+      RunOnce(&storage, query, 0, PolicyMode::kFixed);
   for (int radix_bits = 1; radix_bits <= 6; ++radix_bits) {
-    EXPECT_EQ(RunOnce(&storage, query, radix_bits, true,
-                      PolicyMode::kAdaptive),
+    EXPECT_EQ(RunOnce(&storage, query, radix_bits, PolicyMode::kAdaptive),
               expected)
         << "radix=" << radix_bits;
   }
