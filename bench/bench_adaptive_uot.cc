@@ -49,7 +49,7 @@ struct ArmResult {
 
 uint64_t TotalTransfers(const ExecutionStats& stats) {
   uint64_t total = 0;
-  for (uint64_t t : stats.edge_transfers) total += t;
+  for (const EdgeStats& edge : stats.edges) total += edge.transfers;
   return total;
 }
 
@@ -62,7 +62,7 @@ double EnvPercent(const char* name, double def) {
 struct ArmSpec {
   const char* key;    // JSON key fragment
   const char* label;  // console label
-  // Exactly one of: scalar fixed value, plan annotations, or adaptive.
+  // Exactly one of: fixed value, plan annotations, or adaptive.
   bool adaptive = false;
   const std::vector<UotChoice>* annotations = nullptr;
   UotPolicy fixed = UotPolicy();
@@ -87,7 +87,7 @@ std::shared_ptr<AdaptiveUotPolicy> ApplyArm(
       shared_policy =
           std::make_shared<AdaptiveUotPolicy>(options, std::move(seeds));
     }
-    exec->uot_policy = shared_policy;
+    exec->uot = UotPolicy::PerEdge(shared_policy);
     return shared_policy;
   }
   if (spec.annotations != nullptr) {

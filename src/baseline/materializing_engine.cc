@@ -113,10 +113,8 @@ std::unique_ptr<Table> MaterializingEngine::Sort(const Table& input,
 double MaterializingEngine::ExecutePlan(QueryPlan* plan) {
   ExecConfig config;
   config.num_workers = 1;
+  // The baseline is the materializing extreme of the spectrum.
   config.uot = UotPolicy::HighUot();
-  // The baseline is the materializing extreme of the spectrum, expressed
-  // through the policy interface like every other execution mode.
-  config.uot_policy = std::make_shared<FixedUotPolicy>(UotPolicy::HighUot());
   Timer timer;
   EngineConfig engine_config;
   engine_config.num_workers = config.num_workers;

@@ -30,13 +30,8 @@ uint64_t AdaptiveUotPolicy::SeedFor(int edge_index) const {
   return options_.initial_blocks;
 }
 
-uint64_t AdaptiveUotPolicy::BlocksPerTransfer(const EdgeRuntimeState& edge) {
-  return BlocksPerTransfer(edge, nullptr);
-}
-
 uint64_t AdaptiveUotPolicy::BlocksPerTransfer(const EdgeRuntimeState& edge,
                                               UotAdaptCause* cause) {
-  if (cause != nullptr) *cause = UotAdaptCause::kNone;
   std::lock_guard<std::mutex> lock(mutex_);
   // Exchange edges cap below the general ceiling: their consumer buffers
   // everything anyway, so wide granules only serialize repartition work.
@@ -48,7 +43,7 @@ uint64_t AdaptiveUotPolicy::BlocksPerTransfer(const EdgeRuntimeState& edge,
       std::make_pair(edge.query_id, edge.edge_index),
       EdgeControl{std::min(SeedFor(edge.edge_index), max_blocks)});
   EdgeControl& control = it->second;
-  if (inserted && cause != nullptr) *cause = UotAdaptCause::kSeed;
+  if (inserted) *cause = UotAdaptCause::kSeed;
 
   const bool budgeted = edge.memory_budget_bytes > 0;
   // Usage of the *headroom* above the session's structural floor: with
@@ -73,11 +68,9 @@ uint64_t AdaptiveUotPolicy::BlocksPerTransfer(const EdgeRuntimeState& edge,
     if (control.blocks > options_.min_blocks) {
       control.blocks = std::max(options_.min_blocks, control.blocks / 2);
       adaptations_.fetch_add(1, std::memory_order_relaxed);
-      if (cause != nullptr) {
-        *cause = edge.deferred_work_orders > 0
-                     ? UotAdaptCause::kDeferralDepth
-                     : UotAdaptCause::kHeadroomWatermark;
-      }
+      *cause = edge.deferred_work_orders > 0
+                   ? UotAdaptCause::kDeferralDepth
+                   : UotAdaptCause::kHeadroomWatermark;
     }
   } else if (!budgeted || usage <= options_.widen_watermark) {
     ++control.calm_streak;
@@ -95,10 +88,8 @@ uint64_t AdaptiveUotPolicy::BlocksPerTransfer(const EdgeRuntimeState& edge,
       control.blocks = std::min(max_blocks, control.blocks * 2);
       control.calm_streak = 0;
       adaptations_.fetch_add(1, std::memory_order_relaxed);
-      if (cause != nullptr) {
-        *cause = producer_ahead ? UotAdaptCause::kRateImbalance
-                                : UotAdaptCause::kCalmStreak;
-      }
+      *cause = producer_ahead ? UotAdaptCause::kRateImbalance
+                              : UotAdaptCause::kCalmStreak;
     }
   }
   return control.blocks;

@@ -71,11 +71,10 @@ class AdaptiveUotPolicy final : public EdgeUotPolicy {
   /// stays adaptable in both directions.
   AdaptiveUotPolicy(Options options, std::vector<uint64_t> edge_seeds);
 
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge) override;
-
   /// The decision plus its cause: kSeed on an edge's first consultation,
   /// kDeferralDepth/kHeadroomWatermark for narrows, kCalmStreak/
-  /// kRateImbalance for widens, kNone when the value is unchanged.
+  /// kRateImbalance for widens; `*cause` is left alone when the value is
+  /// unchanged.
   uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge,
                              UotAdaptCause* cause) override;
 

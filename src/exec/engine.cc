@@ -158,7 +158,11 @@ Status Engine::ExecuteOrReject(QueryPlan* plan, const ExecConfig& config,
   }
   const int64_t admitted_ns = NowNanos();
 
-  QuerySession session(plan, config, this, config_.num_workers,
+  // The session runs on this engine's pool, whatever worker count the
+  // caller's config names; its config (and config_summary) says so.
+  ExecConfig session_config = config;
+  session_config.num_workers = config_.num_workers;
+  QuerySession session(plan, std::move(session_config), this,
                        next_query_id_.fetch_add(1,
                                                 std::memory_order_relaxed));
   *stats = session.Run();

@@ -79,8 +79,8 @@ class Engine final : public WorkOrderSink {
   /// admission control first when the engine is saturated; safe to call
   /// from many threads concurrently. The per-query scheduling knobs of
   /// `config` (UoT policy, budget, caps, obs sinks) apply as in a
-  /// standalone run; `config.num_workers` is ignored — the engine's pool
-  /// executes the work orders.
+  /// standalone run; `config.num_workers` is replaced by the engine's
+  /// pool size — the engine's pool executes the work orders.
   ///
   /// Admission is FIFO: queries are considered strictly in arrival order,
   /// so a stream of small queries cannot starve a large-budget one that

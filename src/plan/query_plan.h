@@ -131,8 +131,8 @@ class QueryPlan {
     return blocking_edges_;
   }
 
-  /// Pins streaming edge `edge_index` to a fixed UoT, overriding the
-  /// session's policy for that edge.
+  /// Pins streaming edge `edge_index` to a fixed UoT, overriding
+  /// ExecConfig::uot for that edge. A per-edge UotPolicy aborts.
   void AnnotateEdgeUot(int edge_index, UotPolicy uot);
 
   /// The UoT annotation of streaming edge `edge_index`, or nullopt when

@@ -50,8 +50,7 @@ struct OperatorStats {
 struct EdgeStats {
   int producer = -1;
   int consumer = -1;
-  /// Transfers delivered (same number as ExecutionStats::edge_transfers,
-  /// kept here so one struct describes the whole edge).
+  /// Transfers delivered (a transfer carries up to UoT blocks).
   uint64_t transfers = 0;
   uint64_t blocks_produced = 0;
   uint64_t blocks_delivered = 0;
@@ -154,9 +153,6 @@ struct ExecutionStats {
   int64_t query_end_ns = 0;
   std::vector<WorkOrderRecord> records;
   std::vector<OperatorStats> operators;
-  /// Number of block transfers performed per streaming edge (a transfer
-  /// delivers up to UoT blocks).
-  std::vector<uint64_t> edge_transfers;
   /// Measured per-edge detail (transfers, payload bytes, buffered
   /// high-water marks), one entry per streaming edge.
   std::vector<EdgeStats> edges;

@@ -11,16 +11,14 @@
 namespace uot {
 
 QuerySession::QuerySession(QueryPlan* plan, ExecConfig config,
-                           WorkOrderSink* sink, int pool_workers,
-                           uint64_t query_id)
+                           WorkOrderSink* sink, uint64_t query_id)
     : plan_(plan),
       config_(std::move(config)),
       sink_(sink),
-      pool_workers_(pool_workers),
       query_id_(query_id) {
   UOT_CHECK(plan_ != nullptr);
   UOT_CHECK(sink_ != nullptr);
-  UOT_CHECK(pool_workers_ >= 1);
+  UOT_CHECK(config_.num_workers >= 1);
 }
 
 std::string QuerySession::MetricName(const char* name) const {
@@ -37,14 +35,14 @@ void QuerySession::InitObservability() {
     for (int i = 0; i < n; ++i) names.push_back(plan_->op(i)->name());
     trace_->SetOperatorNames(std::move(names));
     trace_->SetThreadName(0, "coordinator");
-    for (int w = 0; w < pool_workers_; ++w) {
+    for (int w = 0; w < config_.num_workers; ++w) {
       trace_->SetThreadName(static_cast<uint32_t>(1 + w),
                             "worker " + std::to_string(w));
     }
   }
   op_task_ns_.clear();
   op_work_orders_.clear();
-  edge_transfers_metric_.clear();
+  edge_transfer_metric_.clear();
   edge_blocks_metric_.clear();
   op_ctx_ = OperatorExecContext{};
   op_ctx_.join = config_.join;
@@ -90,7 +88,7 @@ void QuerySession::InitObservability() {
   for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
     const std::string prefix =
         MetricName("scheduler.edge.") + std::to_string(e);
-    edge_transfers_metric_.push_back(
+    edge_transfer_metric_.push_back(
         metrics_->GetCounter(prefix + ".transfers"));
     edge_blocks_metric_.push_back(metrics_->GetCounter(prefix + ".blocks"));
     const std::string uot_prefix =
@@ -128,12 +126,6 @@ ExecutionStats QuerySession::Run() {
   stats_.config_summary = config_.ToString();
   stats_.operators.resize(static_cast<size_t>(n));
 
-  // Resolve the UoT policy chain: plan annotations pin individual edges;
-  // otherwise the config's policy decides; otherwise the scalar session
-  // default, wrapped so the consultation path is always the interface.
-  default_policy_ = std::make_unique<FixedUotPolicy>(config_.uot);
-  uot_policy_ = config_.uot_policy != nullptr ? config_.uot_policy.get()
-                                              : default_policy_.get();
   // The structural floor policies measure pressure against: whatever is
   // already tracked (base tables, concurrent queries) when we start.
   baseline_tracked_bytes_ = plan_->storage()->tracker().TotalCurrent();
@@ -259,10 +251,6 @@ ExecutionStats QuerySession::Run() {
   const MemoryTracker& tracker = plan_->storage()->tracker();
   for (int c = 0; c < kNumMemoryCategories; ++c) {
     stats_.peak_bytes[c] = tracker.Peak(static_cast<MemoryCategory>(c));
-  }
-  stats_.edge_transfers.clear();
-  for (const EdgeState& e : edge_states_) {
-    stats_.edge_transfers.push_back(e.transfers);
   }
   stats_.profiled = config_.profile;
   stats_.edges.clear();
@@ -486,7 +474,7 @@ void QuerySession::Dispatch(int op, std::unique_ptr<WorkOrder> wo) {
     // and traced; pacing deferrals (admissions waiting for a pool slot)
     // are not budget events.
     if (over_budget || !deferred_.empty() ||
-        total_running_ >= pool_workers_) {
+        total_running_ >= config_.num_workers) {
       if (over_budget) {
         const int64_t tracked = plan_->storage()->tracker().TotalCurrent();
         if (trace_ != nullptr) {
@@ -522,7 +510,7 @@ void QuerySession::ReleaseDeferred() {
       ++stats_.budget_stalls;
       return;
     }
-    if (!over_budget && total_running_ >= pool_workers_) return;
+    if (!over_budget && total_running_ >= config_.num_workers) return;
     DeferredWorkOrder deferred = std::move(deferred_.front());
     deferred_.pop_front();
     if (deferred.counted) {
@@ -566,9 +554,12 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
   EdgeState& state = edge_states_[e];
   uint64_t blocks;
   UotAdaptCause cause = UotAdaptCause::kNone;
+  EdgeUotPolicy* per_edge = config_.uot.per_edge();
   if (edge_pin_[e] != 0) {
     blocks = edge_pin_[e];
     cause = UotAdaptCause::kPinned;
+  } else if (per_edge == nullptr) {
+    blocks = config_.uot.blocks_per_transfer();
   } else {
     const QueryPlan::StreamingEdge& edge = plan_->streaming_edges()[e];
     EdgeRuntimeState rt;
@@ -589,7 +580,7 @@ uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
     rt.producer_work_orders_done = producer.completed;
     rt.consumer_work_orders_done =
         op_states_[static_cast<size_t>(edge.consumer)].completed;
-    blocks = uot_policy_->BlocksPerTransfer(rt, &cause);
+    blocks = per_edge->BlocksPerTransfer(rt, &cause);
   }
   UOT_CHECK(blocks != 0);  // a zero UoT is a policy bug, not a request
   if (blocks != state.effective_uot) {
@@ -697,7 +688,7 @@ void QuerySession::DeliverEdge(int edge_index, bool final_flush) {
                           static_cast<int64_t>(state.buffer.size()));
     }
     if (metrics_ != nullptr) {
-      edge_transfers_metric_[static_cast<size_t>(edge_index)]->Increment();
+      edge_transfer_metric_[static_cast<size_t>(edge_index)]->Increment();
       edge_blocks_metric_[static_cast<size_t>(edge_index)]->Add(
           state.buffer.size());
     }

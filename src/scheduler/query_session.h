@@ -63,11 +63,11 @@ class WorkOrderSink {
 /// `query_id` and (optionally) its own trace/metrics sinks.
 class QuerySession {
  public:
-  /// `pool_workers` is the size of the worker pool behind `sink` (used for
-  /// budget pacing and trace thread naming). `query_id` tags this
-  /// session's stats and trace events.
+  /// `config.num_workers` is the size of the worker pool behind `sink`
+  /// (used for budget pacing and trace thread naming). `query_id` tags
+  /// this session's stats and trace events.
   QuerySession(QueryPlan* plan, ExecConfig config, WorkOrderSink* sink,
-               int pool_workers, uint64_t query_id);
+               uint64_t query_id);
   UOT_DISALLOW_COPY_AND_ASSIGN(QuerySession);
 
   /// Executes the plan to completion and returns the collected statistics.
@@ -136,8 +136,8 @@ class QuerySession {
   std::string MetricName(const char* name) const;
   /// Samples queue-depth gauges/counter tracks (observability only).
   void SampleQueueDepths();
-  /// Consults the UoT policy layer for `edge_index` (plan annotation >
-  /// config.uot_policy > FixedUotPolicy(config.uot)) and returns the
+  /// Resolves the UoT of `edge_index` (its plan pin, else config.uot's
+  /// per-edge policy, else config.uot's fixed value) and returns the
   /// blocks-per-transfer threshold. Records effective-UoT gauges/counter
   /// tracks and counts/traces mid-query changes as adaptations.
   uint64_t ResolveEdgeUot(int edge_index);
@@ -171,7 +171,6 @@ class QuerySession {
   QueryPlan* const plan_;
   const ExecConfig config_;
   WorkOrderSink* const sink_;
-  const int pool_workers_;
   const uint64_t query_id_;
 
   ThreadSafeQueue<Event> event_queue_;
@@ -197,13 +196,8 @@ class QuerySession {
   int total_running_ = 0;
   ExecutionStats stats_;
 
-  // The resolved UoT policy chain: `uot_policy_` points at the config's
-  // shared policy, or at `default_policy_` (wrapping the scalar
-  // config.uot) when none is set. `edge_pin_` holds per-edge plan
-  // annotations (0 = unpinned).
-  std::unique_ptr<FixedUotPolicy> default_policy_;
-  EdgeUotPolicy* uot_policy_ = nullptr;
   int64_t baseline_tracked_bytes_ = 0;  // tracked bytes at session start
+  // Per-edge plan annotations (0 = unpinned); they override config_.uot.
   std::vector<uint64_t> edge_pin_;
 
   // Observability sinks and pre-resolved metric handles, all null when the
@@ -225,7 +219,7 @@ class QuerySession {
   OperatorExecContext op_ctx_;
   std::vector<obs::Counter*> op_task_ns_;
   std::vector<obs::Counter*> op_work_orders_;
-  std::vector<obs::Counter*> edge_transfers_metric_;
+  std::vector<obs::Counter*> edge_transfer_metric_;
   std::vector<obs::Counter*> edge_blocks_metric_;
 };
 

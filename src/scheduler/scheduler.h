@@ -2,7 +2,6 @@
 #define UOT_SCHEDULER_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "operators/exec_context.h"
@@ -49,19 +48,14 @@ inline const char* PipelineModeName(PipelineMode mode) {
 struct ExecConfig {
   /// Number of worker threads executing work orders. For a standalone
   /// QueryExecutor::Execute run this is the size of the (one-query) engine
-  /// pool; sessions submitted to a shared Engine use the engine's pool and
-  /// ignore this field.
+  /// pool; sessions submitted to a shared Engine run on the engine's pool,
+  /// whose size replaces this field.
   int num_workers = 4;
-  /// The session-default unit of transfer. When `uot_policy` is null the
-  /// session wraps this value in a FixedUotPolicy, preserving the
-  /// historical scalar semantics: the same UoT on every streaming edge.
+  /// The unit of transfer: one fixed value for every streaming edge, or a
+  /// per-edge policy (UotPolicy::PerEdge) consulted on every
+  /// block-completion event. Per-edge plan annotations
+  /// (QueryPlan::AnnotateEdgeUot) pin an edge and take precedence.
   UotPolicy uot;
-  /// Optional per-edge UoT policy (shared so one adaptive policy instance
-  /// can serve many concurrent sessions). When set, it is consulted on
-  /// every block-completion event of every streaming edge and overrides
-  /// `uot`. Per-edge plan annotations (QueryPlan::AnnotateEdgeUot) pin an
-  /// edge and take precedence over both.
-  std::shared_ptr<EdgeUotPolicy> uot_policy;
   /// Optional cap on concurrently executing work orders per operator
   /// (0 = unlimited). One of the "sophisticated scheduling policies" the
   /// paper mentions in Section III-C.

@@ -6,9 +6,7 @@ namespace uot {
 
 std::string ExecConfig::ToString() const {
   std::string out = "ExecConfig{workers=" + std::to_string(num_workers);
-  out += ", uot=";
-  out += uot_policy != nullptr ? uot_policy->ToString()
-                               : FixedUotPolicy(uot).ToString();
+  out += ", uot=" + uot.ToString();
   out += ", join=" + join.ToString();
   if (max_concurrent_per_op > 0) {
     out += ", max_concurrent_per_op=" + std::to_string(max_concurrent_per_op);

@@ -2,11 +2,15 @@
 #define UOT_SCHEDULER_UOT_POLICY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "util/macros.h"
 
 namespace uot {
+
+class EdgeUotPolicy;
 
 /// The unit of transfer (UoT): how much producer output accumulates before
 /// it is transferred to the consumer operator (paper Sections I-III, Fig 1).
@@ -16,6 +20,11 @@ namespace uot {
 /// (traditionally called "pipelining"); the largest is the whole
 /// intermediate table (traditionally "blocking"/"materializing"). Every
 /// value in between is a valid point on the spectrum.
+///
+/// A UoT is either one fixed value for every edge (a block count or the
+/// whole table) or a per-edge policy the scheduler consults at runtime
+/// (PerEdge). Plan annotations pin single edges and always hold a fixed
+/// value.
 class UotPolicy {
  public:
   /// Sentinel meaning "accumulate the producer's entire output before the
@@ -40,16 +49,29 @@ class UotPolicy {
   /// The high end: wait for the entire intermediate table.
   static UotPolicy HighUot() { return UotPolicy(kWholeTable); }
 
-  bool IsWholeTable() const { return blocks_per_transfer_ == kWholeTable; }
-  uint64_t blocks_per_transfer() const { return blocks_per_transfer_; }
-
-  std::string ToString() const {
-    if (IsWholeTable()) return "UoT=whole-table";
-    return "UoT=" + std::to_string(blocks_per_transfer_) + "-block(s)";
+  /// Per-edge UoT: `policy` decides each edge's value at runtime (shared
+  /// so one adaptive instance can serve many concurrent sessions).
+  static UotPolicy PerEdge(std::shared_ptr<EdgeUotPolicy> policy) {
+    UOT_CHECK(policy != nullptr);
+    UotPolicy uot;
+    uot.per_edge_ = std::move(policy);
+    return uot;
   }
+
+  /// The per-edge policy, or nullptr for a fixed value.
+  EdgeUotPolicy* per_edge() const { return per_edge_.get(); }
+  bool IsWholeTable() const { return blocks_per_transfer_ == kWholeTable; }
+  /// The fixed value; a per-edge UoT has none.
+  uint64_t blocks_per_transfer() const {
+    UOT_CHECK(per_edge_ == nullptr);
+    return blocks_per_transfer_;
+  }
+
+  std::string ToString() const;
 
  private:
   uint64_t blocks_per_transfer_;
+  std::shared_ptr<EdgeUotPolicy> per_edge_;
 };
 
 /// Runtime snapshot of one streaming edge, assembled by the scheduler every
@@ -72,12 +94,6 @@ struct EdgeRuntimeState {
   /// an edge buy no locality — they only delay the repartition work that
   /// should overlap the producer. Policies use this to clamp.
   bool is_exchange = false;
-  /// True when this edge is interior to a fused pipeline chain
-  /// (ExecConfig::pipeline_mode == kFused): rows cross it inside a single
-  /// fused work order, so no blocks ever accumulate and no transfers
-  /// happen. The scheduler never consults the policy for fused edges —
-  /// the flag exists so snapshots handed to observers report honestly.
-  bool fused = false;
 
   // Edge progress.
   uint64_t buffered_blocks = 0;    // accumulated, not yet transferred
@@ -150,44 +166,21 @@ class EdgeUotPolicy {
  public:
   virtual ~EdgeUotPolicy() = default;
 
-  /// Blocks that must accumulate on `edge` before the next transfer.
-  virtual uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge) = 0;
-
-  /// Same decision, but also reports why. The base implementation cannot
-  /// know a cause and reports kNone; adaptive policies override this and
-  /// have the one-arg form delegate here. The scheduler always calls this
-  /// form so the cause reaches the decision log.
+  /// Blocks that must accumulate on `edge` before the next transfer. The
+  /// caller presets `*cause` to kNone; a policy that knows why its value
+  /// moved overwrites it, so the cause reaches the decision log.
   virtual uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge,
-                                     UotAdaptCause* cause) {
-    if (cause != nullptr) *cause = UotAdaptCause::kNone;
-    return BlocksPerTransfer(edge);
-  }
+                                     UotAdaptCause* cause) = 0;
 
   /// Human-readable description for logs / ExecConfig::ToString().
   virtual std::string ToString() const = 0;
 };
 
-/// The default policy: one fixed UoT value for every edge of every query —
-/// exactly the historical scalar `ExecConfig::uot` semantics, expressed
-/// through the policy interface.
-class FixedUotPolicy final : public EdgeUotPolicy {
- public:
-  explicit FixedUotPolicy(UotPolicy uot = UotPolicy()) : uot_(uot) {}
-
-  using EdgeUotPolicy::BlocksPerTransfer;
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState&) override {
-    return uot_.blocks_per_transfer();
-  }
-
-  std::string ToString() const override {
-    return "fixed(" + uot_.ToString() + ")";
-  }
-
-  UotPolicy uot() const { return uot_; }
-
- private:
-  const UotPolicy uot_;
-};
+inline std::string UotPolicy::ToString() const {
+  if (per_edge_ != nullptr) return per_edge_->ToString();
+  if (IsWholeTable()) return "UoT=whole-table";
+  return "UoT=" + std::to_string(blocks_per_transfer_) + "-block(s)";
+}
 
 }  // namespace uot
 

@@ -130,7 +130,7 @@ SimResult DesScheduler::Run(const std::vector<SimOperator>& ops,
       OpRuntime& prod = state[static_cast<size_t>(producer)];
       OpRuntime& cons = state[static_cast<size_t>(i)];
       uint64_t k;
-      if (config.uot_policy != nullptr) {
+      if (EdgeUotPolicy* per_edge = config.uot.per_edge()) {
         EdgeRuntimeState rt;
         rt.edge_index = i;
         rt.producer = producer;
@@ -141,7 +141,8 @@ SimResult DesScheduler::Run(const std::vector<SimOperator>& ops,
         rt.producer_finished = final_flush;
         rt.producer_work_orders_done = prod.completed;
         rt.consumer_work_orders_done = cons.completed;
-        k = config.uot_policy->BlocksPerTransfer(rt);
+        UotAdaptCause cause = UotAdaptCause::kNone;
+        k = per_edge->BlocksPerTransfer(rt, &cause);
         UOT_CHECK(k != 0);  // a zero UoT is a policy bug
       } else {
         k = config.uot.blocks_per_transfer();

@@ -46,15 +46,12 @@ struct SimOperator {
 
 struct SimConfig {
   int num_workers = 20;
-  /// Session-default UoT, applied to every edge when `uot_policy` is null
-  /// (the scalar semantics).
+  /// The unit of transfer, as in ExecConfig::uot. A per-edge policy is
+  /// consulted with the simulated edge's runtime state whenever buffered
+  /// producer blocks might transfer; the edge index reported to it is the
+  /// consumer operator's index (each simulated consumer has exactly one
+  /// streaming input).
   UotPolicy uot;
-  /// Optional per-edge policy, consulted with the simulated edge's runtime
-  /// state whenever buffered producer blocks might transfer — the same
-  /// interface the real scheduler consults (scheduler/uot_policy.h). The
-  /// edge index reported to the policy is the consumer operator's index
-  /// (each simulated consumer has exactly one streaming input). Not owned.
-  EdgeUotPolicy* uot_policy = nullptr;
 };
 
 /// Per-operator simulation outcome.

@@ -166,6 +166,22 @@ TEST(EngineTest, RunsManyQueriesSequentiallyOnOnePool) {
   EXPECT_EQ(engine.active_queries(), 0);
 }
 
+TEST(EngineTest, ConfigSummaryReportsThePoolTheQueryRanOn) {
+  // Engine::Execute ignores ExecConfig::num_workers; the summary must name
+  // the engine's pool, not the config's default of 4.
+  StorageManager storage;
+  auto input = MakeKvTable(&storage, "in", 1000, 10, Layout::kRowStore, 2048);
+
+  EngineConfig engine_config;
+  engine_config.num_workers = 3;
+  Engine engine(engine_config);
+
+  auto plan = MakeSelectAggPlan(&storage, *input, 0.0);
+  const ExecutionStats stats = engine.Execute(plan.get(), ExecConfig{});
+  EXPECT_NE(stats.config_summary.find("workers=3"), std::string::npos)
+      << stats.config_summary;
+}
+
 TEST(EngineTest, ConcurrentSyntheticQueriesMatchSerial) {
   StorageManager storage;
   auto input = MakeKvTable(&storage, "in", 8000, 16, Layout::kRowStore, 2048);
@@ -551,7 +567,7 @@ TEST(EngineTest, ConcurrentQueriesShareOneAdaptivePolicy) {
   auto adaptive = std::make_shared<AdaptiveUotPolicy>();
   obs::MetricsRegistry metrics;
   ExecConfig config;
-  config.uot_policy = adaptive;
+  config.uot = UotPolicy::PerEdge(adaptive);
   config.memory_budget_bytes = 1;  // constant pressure: adaptation traffic
   config.metrics = &metrics;
 

@@ -24,23 +24,22 @@ TEST(UotPolicyDeathTest, ZeroBlocksIsInvalid) {
   EXPECT_DEATH(UotPolicy policy(0), "blocks_per_transfer != 0");
 }
 
-TEST(UotPolicyTest, FixedPolicyReturnsItsValueForAnyEdgeState) {
-  FixedUotPolicy one(UotPolicy::LowUot(1));
-  FixedUotPolicy eight(UotPolicy::LowUot(8));
-  FixedUotPolicy whole(UotPolicy::HighUot());
-  EdgeRuntimeState edge;
-  for (int i = 0; i < 3; ++i) {
-    edge.edge_index = i;
-    edge.buffered_blocks = static_cast<uint64_t>(100 * i);
-    edge.deferred_work_orders = static_cast<uint64_t>(i);
-    edge.tracked_bytes = 1 << 30;
-    edge.memory_budget_bytes = 1;
-    EXPECT_EQ(one.BlocksPerTransfer(edge), 1u);
-    EXPECT_EQ(eight.BlocksPerTransfer(edge), 8u);
-    EXPECT_EQ(whole.BlocksPerTransfer(edge), UotPolicy::kWholeTable);
-  }
-  EXPECT_EQ(one.ToString(), "fixed(UoT=1-block(s))");
-  EXPECT_EQ(whole.ToString(), "fixed(UoT=whole-table)");
+TEST(UotPolicyTest, PerEdgeHoldsItsPolicy) {
+  EXPECT_EQ(UotPolicy::LowUot(8).per_edge(), nullptr);
+  EXPECT_EQ(UotPolicy::HighUot().per_edge(), nullptr);
+  auto adaptive = std::make_shared<AdaptiveUotPolicy>();
+  const UotPolicy uot = UotPolicy::PerEdge(adaptive);
+  EXPECT_EQ(uot.per_edge(), adaptive.get());
+  EXPECT_FALSE(uot.IsWholeTable());
+  EXPECT_EQ(uot.ToString(), adaptive->ToString());
+}
+
+TEST(UotPolicyDeathTest, PerEdgeHasNoFixedValue) {
+  // A per-edge UoT is decided edge by edge at runtime; reading one fixed
+  // value from it (e.g. to pin a plan edge) is a caller bug.
+  const UotPolicy uot =
+      UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
+  EXPECT_DEATH(uot.blocks_per_transfer(), "per_edge_ == nullptr");
 }
 
 TEST(ExecConfigTest, ToStringShowsResolvedPolicyAndJoinKnobs) {
@@ -49,11 +48,11 @@ TEST(ExecConfigTest, ToStringShowsResolvedPolicyAndJoinKnobs) {
   config.uot = UotPolicy::LowUot(2);
   const std::string fixed = config.ToString();
   EXPECT_NE(fixed.find("workers=3"), std::string::npos);
-  EXPECT_NE(fixed.find("fixed(UoT=2-block(s))"), std::string::npos);
+  EXPECT_NE(fixed.find("uot=UoT=2-block(s)"), std::string::npos);
   EXPECT_NE(fixed.find("join=batched(batch=256,prefetch=16)"),
             std::string::npos);
 
-  config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
+  config.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   config.memory_budget_bytes = 123456;
   config.join.batch_size = 64;
   config.join.prefetch_distance = 0;
@@ -141,10 +140,10 @@ TEST(ExecutorTest, PlanWithOnlyLeafOperator) {
   const ExecutionStats stats = QueryExecutor::Execute(&plan, config);
   EXPECT_EQ(out->NumRows(), 100u);
   EXPECT_EQ(stats.operators.size(), 1u);
-  EXPECT_EQ(stats.edge_transfers.size(), 0u);
+  EXPECT_EQ(stats.edges.size(), 0u);
   // Startup logging satellite: stats carry the resolved config so failures
   // show which policy actually ran.
-  EXPECT_NE(stats.config_summary.find("fixed(UoT=1-block(s))"),
+  EXPECT_NE(stats.config_summary.find("uot=UoT=1-block(s)"),
             std::string::npos);
   EXPECT_NE(stats.ToString().find("ExecConfig{"), std::string::npos);
   // No records for nonexistent op: AverageDop of an op with no work.

@@ -252,12 +252,8 @@ TEST(UotChooserTest, ProfiledPlanRoundTripAnnotates) {
 
   // The annotated plan still executes and the annotation drove the edge.
   ExecutionStats stats = QueryExecutor::Execute(fresh.get(), config);
-  ASSERT_EQ(stats.edge_transfers.size(), 1u);
-  if (choices[0].uot.IsWholeTable()) {
-    EXPECT_EQ(stats.edge_transfers[0], 1u);
-  } else {
-    EXPECT_GE(stats.edge_transfers[0], 1u);
-  }
+  EXPECT_TRUE(testing::TransfersFollowUot(
+      stats, {choices[0].uot.blocks_per_transfer()}));
 }
 
 }  // namespace

@@ -357,11 +357,11 @@ TEST(ObsIntegrationTest, TpchQueryTraceIsValidAndConsistent) {
     EXPECT_EQ(per_op->Value(), stats.operators[i].num_work_orders);
   }
   // Edge transfer counters match the stats' per-edge transfer counts.
-  for (size_t e = 0; e < stats.edge_transfers.size(); ++e) {
+  for (size_t e = 0; e < stats.edges.size(); ++e) {
     const Counter* transfers = metrics.FindCounter(
         "scheduler.edge." + std::to_string(e) + ".transfers");
     ASSERT_NE(transfers, nullptr);
-    EXPECT_EQ(transfers->Value(), stats.edge_transfers[e]);
+    EXPECT_EQ(transfers->Value(), stats.edges[e].transfers);
   }
   // The memory gauges saw the hash-table high-water mark.
   const Gauge* ht = metrics.FindGauge("memory.hash_table.bytes");
@@ -433,7 +433,7 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   MetricsRegistry metrics;
   ExecConfig exec;
   exec.num_workers = 4;
-  exec.uot_policy = std::make_shared<AdaptiveUotPolicy>();
+  exec.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   exec.memory_budget_bytes = 1;  // constant pressure -> adaptations
   exec.trace = &trace;
   exec.metrics = &metrics;
@@ -446,9 +446,9 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   }
   // Every streaming edge announces its starting UoT, then each adaptation
   // re-emits the counter: counter events strictly outnumber adaptations.
-  ASSERT_GT(stats.edge_transfers.size(), 0u);
+  ASSERT_GT(stats.edges.size(), 0u);
   EXPECT_GE(effective_events,
-            stats.edge_transfers.size() + stats.uot_adaptations);
+            stats.edges.size() + stats.uot_adaptations);
   EXPECT_GT(stats.uot_adaptations, 0u);
   EXPECT_EQ(adapt_events, stats.uot_adaptations);
 
@@ -462,7 +462,7 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   EXPECT_NE(json.find("from_blocks"), std::string::npos);
 
   // Metrics mirror the trace: a gauge per edge plus adaptation counters.
-  for (size_t e = 0; e < stats.edge_transfers.size(); ++e) {
+  for (size_t e = 0; e < stats.edges.size(); ++e) {
     const Gauge* gauge = metrics.FindGauge(
         "uot.edge." + std::to_string(e) + ".effective_blocks");
     ASSERT_NE(gauge, nullptr);

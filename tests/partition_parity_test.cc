@@ -129,10 +129,9 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
 
   ExecConfig config;
   config.num_workers = 2;
-  config.uot = UotPolicy::LowUot(2);
-  if (policy == PolicyMode::kAdaptive) {
-    config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
-  }
+  config.uot = policy == PolicyMode::kAdaptive
+                   ? UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>())
+                   : UotPolicy::LowUot(2);
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
   CheckTransferInvariants(*plan, stats, radix_bits, query.num_joins(),
                           label);

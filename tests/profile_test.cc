@@ -89,7 +89,7 @@ TEST(ProfileTest, FromRunJoinsMeasuredEdgesWithOperators) {
   EXPECT_EQ(edge.consumer, 1);
   EXPECT_EQ(edge.producer_name, "select");
   EXPECT_EQ(edge.consumer_name, "agg");
-  EXPECT_EQ(edge.transfers, stats.edge_transfers[0]);
+  EXPECT_EQ(edge.transfers, stats.edges[0].transfers);
   // Payload volume is rows x row width, independent of scheduling.
   const uint64_t row_width = input->schema().row_width();
   EXPECT_EQ(edge.bytes_delivered, 3000u * row_width);
@@ -171,7 +171,7 @@ TEST(ProfileTest, AdaptiveRunRecordsDecisionLogWithCauses) {
 
   ExecConfig config;
   config.num_workers = 2;
-  config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
+  config.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   config.memory_budget_bytes = 1;  // constant pressure: must narrow
   config.profile = true;
   ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
@@ -203,7 +203,7 @@ TEST(ProfileTest, AdaptiveRunRecordsDecisionLogWithCauses) {
   // collects no logs.
   auto unprofiled_plan = MakeSelectAggPlan(&storage, *input);
   ExecConfig off = config;
-  off.uot_policy = std::make_shared<AdaptiveUotPolicy>();
+  off.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   off.profile = false;
   ExecutionStats off_stats =
       QueryExecutor::Execute(unprofiled_plan.get(), off);
@@ -233,7 +233,7 @@ TEST(ProfileTest, JsonRoundTripsThroughValidator) {
                                     chooser.ChoosePlan(*fresh, oracle));
   ExecConfig config;
   config.num_workers = 2;
-  config.uot_policy = std::make_shared<AdaptiveUotPolicy>();
+  config.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   config.memory_budget_bytes = 1;
   config.profile = true;
   ExecutionStats stats = QueryExecutor::Execute(fresh.get(), config);

@@ -17,6 +17,7 @@ namespace uot {
 namespace {
 
 using testing::MakeKvTable;
+using testing::TransfersFollowUot;
 
 /// Builds the paper's canonical select -> probe plan over synthetic data:
 ///   sel(probe_table: v >= threshold) -> probe(build(build_table))
@@ -180,12 +181,12 @@ TEST(SchedulerTest, LowUotTransfersPerBlockHighUotOnce) {
   ExecutionStats high_stats = QueryExecutor::Execute(high.plan.get(),
                                                      high_config);
 
-  ASSERT_EQ(low_stats.edge_transfers.size(), 1u);
-  ASSERT_EQ(high_stats.edge_transfers.size(), 1u);
+  ASSERT_EQ(low_stats.edges.size(), 1u);
+  ASSERT_EQ(high_stats.edges.size(), 1u);
   // With the whole-table UoT there is exactly one transfer; with a
   // one-block UoT there are roughly as many transfers as select outputs.
-  EXPECT_EQ(high_stats.edge_transfers[0], 1u);
-  EXPECT_GT(low_stats.edge_transfers[0], 10u);
+  EXPECT_EQ(high_stats.edges[0].transfers, 1u);
+  EXPECT_GT(low_stats.edges[0].transfers, 10u);
   // Both produce the same number of probe work orders in total.
   EXPECT_EQ(low_stats.operators[static_cast<size_t>(low.probe_op)]
                 .num_work_orders,
@@ -205,13 +206,13 @@ TEST(SchedulerTest, UotGroupsBlocksPerTransfer) {
   config.num_workers = 1;
   config.uot = UotPolicy::LowUot(1);
   const uint64_t transfers_k1 =
-      QueryExecutor::Execute(one.plan.get(), config).edge_transfers[0];
+      QueryExecutor::Execute(one.plan.get(), config).edges[0].transfers;
 
   auto four = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                   1024);
   config.uot = UotPolicy::LowUot(4);
   const uint64_t transfers_k4 =
-      QueryExecutor::Execute(four.plan.get(), config).edge_transfers[0];
+      QueryExecutor::Execute(four.plan.get(), config).edges[0].transfers;
   EXPECT_LT(transfers_k4, transfers_k1);
   EXPECT_GE(transfers_k4, transfers_k1 / 4);
 }
@@ -629,7 +630,7 @@ TEST(PerEdgeUotTest, AnnotationOverridesSessionDefault) {
   const std::string expected =
       CanonicalRows(*reference.plan->result_table());
   ASSERT_FALSE(expected.empty());
-  ASSERT_GT(ref_stats.edge_transfers[0], 1u);  // many 1-block transfers
+  ASSERT_GT(ref_stats.edges[0].transfers, 1u);  // many 1-block transfers
 
   auto pinned = MakeSelectProbePlan(&storage, *probe_table, *build_table,
                                     0.0, 1024);
@@ -641,7 +642,7 @@ TEST(PerEdgeUotTest, AnnotationOverridesSessionDefault) {
   ExecutionStats stats = QueryExecutor::Execute(pinned.plan.get(), config);
   // The pinned edge materialized (one transfer at producer finish) even
   // though the session default is 1-block pipelining.
-  EXPECT_EQ(stats.edge_transfers[0], 1u);
+  EXPECT_EQ(stats.edges[0].transfers, 1u);
   EXPECT_EQ(CanonicalRows(*pinned.plan->result_table()), expected);
 }
 
@@ -683,8 +684,7 @@ TEST(PerEdgeUotTest, MixedPoliciesAreByteIdenticalAcrossChain) {
         << "mix " << UotPolicy(mix.edge0).ToString() << " / "
         << UotPolicy(mix.edge1).ToString() << "\n"
         << stats.ToString();
-    if (mix.edge0 == kWhole) EXPECT_EQ(stats.edge_transfers[0], 1u);
-    if (mix.edge1 == kWhole) EXPECT_EQ(stats.edge_transfers[1], 1u);
+    EXPECT_TRUE(TransfersFollowUot(stats, {mix.edge0, mix.edge1}));
   }
 }
 
@@ -711,8 +711,8 @@ TEST(PerEdgeUotTest, ZeroOutputProducerCompletesUnderEveryMix) {
     ExecutionStats stats = QueryExecutor::Execute(chain.plan.get(), config);
     EXPECT_EQ(chain.plan->result_table()->NumRows(), 0u);
     // An empty stream delivers no transfers, only the final flush.
-    EXPECT_EQ(stats.edge_transfers[0], 0u);
-    EXPECT_EQ(stats.edge_transfers[1], 0u);
+    EXPECT_EQ(stats.edges[0].transfers, 0u);
+    EXPECT_EQ(stats.edges[1].transfers, 0u);
   }
 }
 
@@ -789,8 +789,7 @@ TEST(PerEdgeUotTest, MultiInputConsumerWithMixedEdgeUot) {
     auto mixed = make_plan(mix.left, mix.right);
     ExecutionStats stats = QueryExecutor::Execute(mixed.plan.get(), config);
     EXPECT_EQ(CanonicalRows(*mixed.plan->result_table()), expected);
-    if (mix.left == kWhole) EXPECT_EQ(stats.edge_transfers[0], 1u);
-    if (mix.right == kWhole) EXPECT_EQ(stats.edge_transfers[1], 1u);
+    EXPECT_TRUE(TransfersFollowUot(stats, {mix.left, mix.right}));
     EXPECT_TRUE(mixed.left_intermediate->blocks().empty());
     EXPECT_TRUE(mixed.right_intermediate->blocks().empty());
   }
@@ -800,8 +799,8 @@ TEST(PerEdgeUotTest, MultiInputConsumerWithMixedEdgeUot) {
 /// annotations: edge 0 materializes, every other edge pipelines.
 class FirstEdgeMaterializesPolicy final : public EdgeUotPolicy {
  public:
-  using EdgeUotPolicy::BlocksPerTransfer;
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge) override {
+  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge,
+                             UotAdaptCause*) override {
     return edge.edge_index == 0 ? UotPolicy::kWholeTable : 1;
   }
   std::string ToString() const override { return "first-edge-whole"; }
@@ -827,14 +826,16 @@ TEST(PerEdgeUotTest, InterfacePolicyMatchesEquivalentAnnotations) {
                                            *build_table, 0.0, 1024);
   ExecConfig policy_config;
   policy_config.num_workers = 2;
-  policy_config.uot_policy =
-      std::make_shared<FirstEdgeMaterializesPolicy>();
+  policy_config.uot =
+      UotPolicy::PerEdge(std::make_shared<FirstEdgeMaterializesPolicy>());
   ExecutionStats policy_stats =
       QueryExecutor::Execute(via_policy.plan.get(), policy_config);
 
   EXPECT_EQ(CanonicalRows(*via_policy.plan->result_table()),
             CanonicalRows(*annotated.plan->result_table()));
-  EXPECT_EQ(policy_stats.edge_transfers, annotated_stats.edge_transfers);
+  const std::vector<uint64_t> per_edge_k = {UotPolicy::kWholeTable, 1};
+  EXPECT_TRUE(TransfersFollowUot(annotated_stats, per_edge_k));
+  EXPECT_TRUE(TransfersFollowUot(policy_stats, per_edge_k));
   EXPECT_NE(policy_stats.config_summary.find("first-edge-whole"),
             std::string::npos);
 }
@@ -842,8 +843,10 @@ TEST(PerEdgeUotTest, InterfacePolicyMatchesEquivalentAnnotations) {
 /// A broken policy: returns 0 blocks per transfer.
 class ZeroUotPolicy final : public EdgeUotPolicy {
  public:
-  using EdgeUotPolicy::BlocksPerTransfer;
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState&) override { return 0; }
+  uint64_t BlocksPerTransfer(const EdgeRuntimeState&,
+                             UotAdaptCause*) override {
+    return 0;
+  }
   std::string ToString() const override { return "zero"; }
 };
 
@@ -858,9 +861,23 @@ TEST(PerEdgeUotDeathTest, PolicyReturningZeroAbortsLoudly) {
                                 1024);
   ExecConfig config;
   config.num_workers = 1;
-  config.uot_policy = std::make_shared<ZeroUotPolicy>();
+  config.uot = UotPolicy::PerEdge(std::make_shared<ZeroUotPolicy>());
   EXPECT_DEATH(QueryExecutor::Execute(sp.plan.get(), config),
                "blocks != 0");
+}
+
+TEST(PerEdgeUotDeathTest, PinningAPerEdgeUotAborts) {
+  // A plan pin is one fixed value; a per-edge policy cannot pin an edge.
+  StorageManager storage;
+  auto probe_table = MakeKvTable(&storage, "probe", 200, 10,
+                                 Layout::kRowStore, 1024);
+  auto build_table = MakeKvTable(&storage, "build", 10, 10,
+                                 Layout::kRowStore, 1024);
+  auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
+                                1024);
+  EXPECT_DEATH(sp.plan->AnnotateEdgeUot(
+                   0, UotPolicy::PerEdge(std::make_shared<ZeroUotPolicy>())),
+               "per_edge_ == nullptr");
 }
 
 TEST(PerEdgeUotTest, AdaptivePolicyNarrowsUnderBudgetPressure) {
@@ -884,7 +901,7 @@ TEST(PerEdgeUotTest, AdaptivePolicyNarrowsUnderBudgetPressure) {
   auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                 1024);
   auto adaptive = std::make_shared<AdaptiveUotPolicy>();
-  config.uot_policy = adaptive;
+  config.uot = UotPolicy::PerEdge(adaptive);
   config.memory_budget_bytes = 1;  // every consultation sees pressure
   config.metrics = &metrics;
   ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);

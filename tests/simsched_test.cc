@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "simsched/des_scheduler.h"
 
 namespace uot {
@@ -201,46 +203,13 @@ TEST(DesSchedulerTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.operators[1].avg_dop, b.operators[1].avg_dop);
 }
 
-TEST(DesSchedulerTest, FixedPolicyMatchesScalarUot) {
-  // The simulator consults the same EdgeUotPolicy interface as the real
-  // scheduler: a FixedUotPolicy must reproduce the scalar SimConfig::uot
-  // schedule exactly, across the whole spectrum.
-  SimOperator producer = LeafOp("select", 40, 1e6);
-  SimOperator consumer;
-  consumer.name = "probe";
-  consumer.work_ns = 0.5e6;
-  consumer.streaming_producer = 0;
-  consumer.consumer_wo_per_block = 1.0;
-
-  for (uint64_t blocks : {uint64_t{1}, uint64_t{4},
-                          UotPolicy::kWholeTable}) {
-    const UotPolicy uot(blocks);
-    SimConfig scalar;
-    scalar.num_workers = 4;
-    scalar.uot = uot;
-    const SimResult a = DesScheduler::Run({producer, consumer}, scalar);
-
-    FixedUotPolicy policy(uot);
-    SimConfig via_policy;
-    via_policy.num_workers = 4;
-    via_policy.uot_policy = &policy;
-    const SimResult b = DesScheduler::Run({producer, consumer}, via_policy);
-
-    EXPECT_DOUBLE_EQ(a.makespan_ns, b.makespan_ns) << uot.ToString();
-    EXPECT_EQ(a.operators[1].work_orders, b.operators[1].work_orders);
-    EXPECT_DOUBLE_EQ(a.operators[1].first_start_ns,
-                     b.operators[1].first_start_ns);
-    EXPECT_DOUBLE_EQ(a.operators[1].avg_dop, b.operators[1].avg_dop);
-  }
-}
-
-/// The interface lets the simulator explore schedules the scalar knob
+/// A per-edge policy lets the simulator explore schedules a fixed UoT
 /// cannot express: a policy that narrows once the edge has buffered a few
 /// blocks still completes with the full work-order count.
 class NarrowAfterBufferPolicy final : public EdgeUotPolicy {
  public:
-  using EdgeUotPolicy::BlocksPerTransfer;
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge) override {
+  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge,
+                             UotAdaptCause*) override {
     return edge.buffered_blocks >= 8 ? 1 : 4;
   }
   std::string ToString() const override { return "narrow-after-buffer"; }
@@ -253,10 +222,9 @@ TEST(DesSchedulerTest, DynamicPolicyStillConservesWork) {
   consumer.work_ns = 0.5e6;
   consumer.streaming_producer = 0;
   consumer.consumer_wo_per_block = 1.0;
-  NarrowAfterBufferPolicy policy;
   SimConfig config;
   config.num_workers = 4;
-  config.uot_policy = &policy;
+  config.uot = UotPolicy::PerEdge(std::make_shared<NarrowAfterBufferPolicy>());
   const SimResult r = DesScheduler::Run({producer, consumer}, config);
   EXPECT_EQ(r.operators[1].work_orders, 40u);
   EXPECT_GT(r.makespan_ns, 0.0);

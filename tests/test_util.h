@@ -72,6 +72,45 @@ inline ::testing::AssertionResult CanonicalRowsNear(
   }
 }
 
+/// Checks the exact transfer counts a fixed UoT implies for one run. On
+/// every non-fused edge all produced blocks are delivered, in
+/// ceil(blocks_produced / k) transfers, or in one transfer for a non-empty
+/// whole-table edge; a fused edge never transfers. `per_edge_k` holds each
+/// edge's blocks per transfer (UotPolicy::kWholeTable = whole table). The
+/// expectation follows the run's own produced-block count, so it holds
+/// however the workers interleave.
+inline ::testing::AssertionResult TransfersFollowUot(
+    const ExecutionStats& stats, const std::vector<uint64_t>& per_edge_k) {
+  if (stats.edges.size() != per_edge_k.size()) {
+    return ::testing::AssertionFailure()
+           << stats.edges.size() << " edges, " << per_edge_k.size()
+           << " UoT values";
+  }
+  for (size_t e = 0; e < stats.edges.size(); ++e) {
+    const EdgeStats& edge = stats.edges[e];
+    const uint64_t k = per_edge_k[e];
+    uint64_t expected = 0;
+    if (!edge.fused) {
+      if (edge.blocks_delivered != edge.blocks_produced) {
+        return ::testing::AssertionFailure()
+               << "edge " << e << " delivered " << edge.blocks_delivered
+               << " of " << edge.blocks_produced << " blocks";
+      }
+      expected = k == UotPolicy::kWholeTable
+                     ? (edge.blocks_produced > 0 ? 1 : 0)
+                     : (edge.blocks_produced + k - 1) / k;
+    }
+    if (edge.transfers != expected) {
+      return ::testing::AssertionFailure()
+             << "edge " << e << (edge.fused ? " (fused)" : "") << ": "
+             << edge.transfers << " transfers, expected " << expected
+             << " for " << edge.blocks_produced << " blocks at "
+             << UotPolicy(k).ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Builds a two-column (k INT32, v DOUBLE) table with `rows` rows where
 /// k = i % modulo and v = i.
 inline std::unique_ptr<Table> MakeKvTable(StorageManager* storage,

@@ -195,9 +195,14 @@ TEST_P(TpchUotInvarianceTest, ResultsIdenticalAcrossUotAndThreads) {
     exec.num_workers = p.workers;
     exec.uot = p.uot_blocks == 0 ? UotPolicy::HighUot()
                                  : UotPolicy::LowUot(p.uot_blocks);
-    QueryExecutor::Execute(plan.get(), exec);
+    const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
     EXPECT_TRUE(testing::CanonicalRowsNear(
         CanonicalRows(*plan->result_table()), expected->at(query)))
+        << "Q" << query << " uot=" << p.uot_blocks << " w=" << p.workers;
+    // Transfers follow the UoT exactly, edge by edge, in every run.
+    EXPECT_TRUE(testing::TransfersFollowUot(
+        stats, std::vector<uint64_t>(stats.edges.size(),
+                                     exec.uot.blocks_per_transfer())))
         << "Q" << query << " uot=" << p.uot_blocks << " w=" << p.workers;
   }
 }
@@ -205,47 +210,12 @@ TEST_P(TpchUotInvarianceTest, ResultsIdenticalAcrossUotAndThreads) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, TpchUotInvarianceTest,
     ::testing::Values(TpchConfigParam{1, 1}, TpchConfigParam{1, 4},
-                      TpchConfigParam{2, 3}, TpchConfigParam{8, 2},
-                      TpchConfigParam{0, 4}),
+                      TpchConfigParam{2, 3}, TpchConfigParam{4, 2},
+                      TpchConfigParam{8, 2}, TpchConfigParam{0, 4}),
     [](const auto& info) {
       return "uot" + std::to_string(info.param.uot_blocks) + "_w" +
              std::to_string(info.param.workers);
     });
-
-TEST_F(TpchTest, FixedPolicyMatchesScalarUotAcrossSuite) {
-  // Tentpole backward-compatibility gate: routing the scalar ExecConfig::uot
-  // through the EdgeUotPolicy interface (the default FixedUotPolicy) must
-  // leave every query byte-identical with identical per-edge transfer
-  // counts, across the whole UoT spectrum.
-  TpchPlanConfig plan_config;
-  plan_config.block_bytes = 16 * 1024;
-  for (uint64_t blocks : {uint64_t{1}, uint64_t{4},
-                          UotPolicy::kWholeTable}) {
-    const UotPolicy uot(blocks);
-    for (int query : SupportedTpchQueries()) {
-      auto scalar_plan = BuildTpchPlan(query, *db_, plan_config);
-      ExecConfig scalar;
-      scalar.num_workers = 2;
-      scalar.uot = uot;
-      const ExecutionStats scalar_stats =
-          QueryExecutor::Execute(scalar_plan.get(), scalar);
-
-      auto policy_plan = BuildTpchPlan(query, *db_, plan_config);
-      ExecConfig via_policy;
-      via_policy.num_workers = 2;
-      via_policy.uot_policy = std::make_shared<FixedUotPolicy>(uot);
-      const ExecutionStats policy_stats =
-          QueryExecutor::Execute(policy_plan.get(), via_policy);
-
-      EXPECT_TRUE(testing::CanonicalRowsNear(
-          CanonicalRows(*policy_plan->result_table()),
-          CanonicalRows(*scalar_plan->result_table())))
-          << "Q" << query << " " << uot.ToString();
-      EXPECT_EQ(policy_stats.edge_transfers, scalar_stats.edge_transfers)
-          << "Q" << query << " " << uot.ToString();
-    }
-  }
-}
 
 TEST_F(TpchTest, RowStoreAndColumnStoreAgree) {
   StorageManager storage_row;
