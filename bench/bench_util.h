@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace_json.h"
@@ -241,6 +243,44 @@ class BenchJson {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> rows_;
 };
+
+/// Quartiles of a sample set, linearly interpolated between order
+/// statistics (the "inclusive" method: p25 of {a, b} is a + (b - a) / 4).
+struct Spread {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+  double iqr() const { return p75 - p25; }
+};
+
+inline Spread Quartiles(std::vector<double> samples) {
+  Spread spread;
+  if (samples.empty()) return spread;
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&samples](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] +
+           (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  spread.p25 = at(0.25);
+  spread.median = at(0.5);
+  spread.p75 = at(0.75);
+  return spread;
+}
+
+/// Records the hardware a bench ran on: online cores and the L3 size the
+/// C library reports (0 when unknown).
+inline void SetMachineInfo(BenchJson* json) {
+  json->Set("machine_cores",
+            static_cast<double>(sysconf(_SC_NPROCESSORS_ONLN)));
+  long l3 = 0;
+#ifdef _SC_LEVEL3_CACHE_SIZE
+  l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);
+#endif
+  json->Set("machine_l3_bytes", static_cast<double>(l3 > 0 ? l3 : 0));
+}
 
 /// Index of the first probe operator consuming the lineitem select's
 /// output — the paper's "first consumer operator in the pipeline" (Fig. 5).

@@ -73,13 +73,11 @@ int main(int argc, char** argv) {
   if (!obs::JsonValue::Parse(json, &root).ok()) return 1;
 
   std::printf("Profile %s: query \"%s\" (id %llu), %zu operators, %zu "
-              "edges (%zu predicted), %zu UoT decisions, %zu budget "
-              "events%s\n\n",
+              "edges (%zu predicted), %zu budget events%s\n\n",
               path.c_str(), summary.query_name.c_str(),
               static_cast<unsigned long long>(summary.query_id),
               summary.num_operators, summary.num_edges,
-              summary.num_predicted_edges, summary.num_uot_decisions,
-              summary.num_budget_events,
+              summary.num_predicted_edges, summary.num_budget_events,
               summary.profiled ? "" : " [profile logs were off]");
 
   // p99 work-order latency per operator.

@@ -142,11 +142,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("Profile: %s.profile.json (%zu operators, %zu edges, %zu "
-                "predicted, %zu UoT decisions), %s.profile.txt\n",
+                "predicted, %zu budget events), %s.profile.txt\n",
                 prefix.c_str(), profile_summary.num_operators,
                 profile_summary.num_edges,
                 profile_summary.num_predicted_edges,
-                profile_summary.num_uot_decisions, prefix.c_str());
+                profile_summary.num_budget_events, prefix.c_str());
     std::printf("Time-series: %s.timeseries.json/.csv (%llu samples)\n",
                 prefix.c_str(),
                 static_cast<unsigned long long>(sampler.total_samples()));

@@ -96,8 +96,8 @@ struct FusedChoice {
 /// UoT values (1, 2, 4, ... blocks, and whole-table) using the edge's
 /// cardinality estimate, caps the candidates with the Section VI memory
 /// footprint against the shared budget, and picks the cheapest. The
-/// choices can be applied as plan annotations (AnnotatePlan) or used to
-/// seed an AdaptiveUotPolicy.
+/// choices are applied as plan annotations (AnnotatePlan), which pin each
+/// edge's UoT for the whole run.
 class CostModelUotChooser {
  public:
   struct Options {
@@ -165,9 +165,8 @@ class CostModelUotChooser {
                            const std::vector<UotChoice>& choices);
 
   /// Records only the model's expectations (QueryPlan::EdgePrediction)
-  /// without pinning edge UoTs. Use when the choices seed an adaptive
-  /// policy instead of pinning the plan: the profile still compares the
-  /// model's predictions against what the adaptive run measured.
+  /// without pinning edge UoTs, so a profiled run grades the model's
+  /// predictions against a run that keeps its configured UoT.
   static void AnnotatePredictions(QueryPlan* plan,
                                   const std::vector<UotChoice>& choices);
 

@@ -311,20 +311,10 @@ std::string QueryProfile::ToString() const {
   out += "\n";
   std::snprintf(buf, sizeof(buf),
                 "  budget: %" PRIu64 " deferrals, %" PRIu64
-                " stalls, %zu events | uot: %" PRIu64
-                " adaptations, %zu decisions\n",
+                " stalls, %zu events\n",
                 stats_.budget_deferrals, stats_.budget_stalls,
-                stats_.budget_events.size(), stats_.uot_adaptations,
-                stats_.uot_decisions.size());
+                stats_.budget_events.size());
   out += buf;
-  for (const UotDecisionRecord& d : stats_.uot_decisions) {
-    std::snprintf(buf, sizeof(buf),
-                  "    t+%.3f ms edge[%d] %s -> %s (%s)\n",
-                  static_cast<double>(d.t_ns - stats_.query_start_ns) / 1e6,
-                  d.edge, FormatUot(d.from_blocks).c_str(),
-                  FormatUot(d.to_blocks).c_str(), UotAdaptCauseName(d.cause));
-    out += buf;
-  }
   return out;
 }
 
@@ -523,24 +513,6 @@ std::string QueryProfile::ToJson() const {
       AppendField(&out, "op", ev.op, &ef);
       AppendFieldS(&out, "kind", ev.release ? "release" : "defer", &ef);
       AppendField(&out, "tracked_bytes", ev.tracked_bytes, &ef);
-      out += '}';
-    }
-    out += "]";
-  }
-  out += "},\n  \"uot\": {";
-  {
-    bool first = true;
-    AppendFieldU(&out, "adaptations", stats_.uot_adaptations, &first);
-    out += ", \"decisions\": [";
-    for (size_t i = 0; i < stats_.uot_decisions.size(); ++i) {
-      const UotDecisionRecord& d = stats_.uot_decisions[i];
-      out += i == 0 ? "\n      {" : ",\n      {";
-      bool df = true;
-      AppendField(&out, "t_ns", d.t_ns, &df);
-      AppendField(&out, "edge", d.edge, &df);
-      AppendField(&out, "from_blocks", JsonUot(d.from_blocks), &df);
-      AppendField(&out, "to_blocks", JsonUot(d.to_blocks), &df);
-      AppendFieldS(&out, "cause", UotAdaptCauseName(d.cause), &df);
       out += '}';
     }
     out += "]";
@@ -801,33 +773,6 @@ Status ParseQueryProfileJson(std::string_view json,
     }
   }
   summary->num_budget_events = events->AsArray().size();
-
-  const JsonValue* uot = root.Find("uot");
-  if (uot == nullptr || !uot->is_object()) {
-    return ProfileError("missing \"uot\" object");
-  }
-  UOT_RETURN_IF_ERROR(RequireNumber(*uot, "adaptations", "uot"));
-  const JsonValue* decisions = uot->Find("decisions");
-  if (decisions == nullptr || !decisions->is_array()) {
-    return ProfileError("missing \"uot.decisions\" array");
-  }
-  int64_t last_t = INT64_MIN;
-  for (const JsonValue& d : decisions->AsArray()) {
-    if (!d.is_object()) return ProfileError("uot decision is not an object");
-    for (const char* key : {"t_ns", "edge", "from_blocks", "to_blocks"}) {
-      UOT_RETURN_IF_ERROR(RequireNumber(d, key, "uot decision"));
-    }
-    const JsonValue* cause = d.Find("cause");
-    if (cause == nullptr || !cause->is_string()) {
-      return ProfileError("uot decision missing \"cause\"");
-    }
-    const int64_t t = d.Find("t_ns")->AsInt64();
-    if (t < last_t) {
-      return ProfileError("uot decisions are not in time order");
-    }
-    last_t = t;
-  }
-  summary->num_uot_decisions = decisions->AsArray().size();
 
   return Status::OK();
 }

@@ -113,7 +113,7 @@ class QueryProfile {
   /// The EXPLAIN-ANALYZE-style annotated plan: operators with work-order
   /// counts/time/DoP/latency percentiles, edges with measured vs
   /// predicted transfers/bytes/footprint and residuals, memory peaks,
-  /// budget events, and the UoT decision log.
+  /// and budget events.
   std::string ToString() const;
 
   /// The model-calibration report: only edges with predictions, ranked by
@@ -123,14 +123,14 @@ class QueryProfile {
 
   /// Structured JSON (parse with JsonValue::Parse, validate with
   /// ParseQueryProfileJson). UoT block values are encoded signed: -1
-  /// stands for whole-table, 0 for "none/unresolved".
+  /// stands for whole-table, 0 for "none" (a fused edge).
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
 
   /// Exports `model.residual.edge.<i>.{transfers,bytes,footprint_bytes}`
   /// gauges (actual minus predicted) for every predicted edge, prefixed
-  /// with `prefix`, so benches and the adaptive layer read calibration
-  /// ground truth from the registry they already consume.
+  /// with `prefix`, so benches read calibration ground truth from the
+  /// registry they already consume.
   void ExportResidualMetrics(MetricsRegistry* registry,
                              const std::string& prefix = "") const;
 
@@ -154,13 +154,12 @@ struct QueryProfileSummary {
   size_t num_fused_edges = 0;      // edges tagged "kind": "fused"
   size_t num_exchanges = 0;        // entries of the "exchanges" section
   size_t num_fused_chains = 0;     // entries of the "fused_pipelines" section
-  size_t num_uot_decisions = 0;
   size_t num_budget_events = 0;
   bool profiled = false;
 };
 
 /// Validates that `json` is a well-formed profile document — top-level
-/// object with "query"/"operators"/"edges"/"memory"/"budget"/"uot"
+/// object with "query"/"operators"/"edges"/"memory"/"budget"
 /// sections of the right shapes — and fills `summary`. Dependency-free
 /// (json_lite), same role the trace validator plays for trace exports.
 Status ParseQueryProfileJson(std::string_view json,

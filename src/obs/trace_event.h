@@ -42,22 +42,12 @@ enum class TraceEventType : uint8_t {
   /// One stage of a batched join kernel over one batch (worker).
   /// arg0 = operator index, arg1 = JoinBatchStage, value = rows in batch.
   kJoinBatchStage,
-  /// Counter track: the effective UoT of one streaming edge as resolved by
-  /// the policy layer, in blocks per transfer. arg0 = edge index,
-  /// value = blocks (0 stands in for whole-table; 0 blocks is otherwise
-  /// invalid). Emitted at session start and whenever the value changes, so
-  /// the track draws each edge's UoT trajectory.
+  /// Counter track: the UoT of one streaming edge (its plan pin, else
+  /// ExecConfig::uot) in blocks per transfer. arg0 = edge index,
+  /// value = blocks (0 stands in for whole-table, 0 blocks being otherwise
+  /// invalid; -1 marks a fused edge). Emitted once per edge at session
+  /// start.
   kUotEffective,
-  /// The policy layer changed an edge's effective UoT mid-query.
-  /// arg0 = edge index, arg1 = previous blocks (saturated to int32),
-  /// value = new blocks; 0 stands in for whole-table on both sides.
-  kUotAdapt,
-  /// Why the policy layer landed on an edge's effective UoT: one instant
-  /// per recorded decision (seed and every change). arg0 = edge index,
-  /// arg1 = UotAdaptCause, value = new blocks (0 stands in for
-  /// whole-table). Complements kUotAdapt, which carries the old/new pair
-  /// but not the cause.
-  kUotDecision,
 };
 
 /// Stages of the batched join kernels, recorded in kJoinBatchStage::arg1.

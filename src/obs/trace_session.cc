@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "scheduler/uot_policy.h"
 #include "util/timer.h"
 
 namespace uot {
@@ -44,8 +43,6 @@ const char* TraceEventTypeName(TraceEventType type) {
     case TraceEventType::kMemoryBytes: return "memory_bytes";
     case TraceEventType::kJoinBatchStage: return "join_batch_stage";
     case TraceEventType::kUotEffective: return "uot_effective";
-    case TraceEventType::kUotAdapt: return "uot_adapt";
-    case TraceEventType::kUotDecision: return "uot_decision";
   }
   return "unknown";
 }
@@ -69,9 +66,7 @@ const char* TraceEventTypeCategory(TraceEventType type) {
     case TraceEventType::kWorkOrder: return "scheduler";
     case TraceEventType::kBlockTransfer:
     case TraceEventType::kEdgeFlush:
-    case TraceEventType::kUotEffective:
-    case TraceEventType::kUotAdapt:
-    case TraceEventType::kUotDecision: return "transfer";
+    case TraceEventType::kUotEffective: return "transfer";
     case TraceEventType::kBudgetDefer:
     case TraceEventType::kBudgetRelease:
     case TraceEventType::kMemoryBytes: return "memory";
@@ -304,7 +299,7 @@ void TraceSession::ExportChromeJson(std::ostream& os) const {
                                           : std::string("queue.events"));
     } else if (e.type == TraceEventType::kUotEffective) {
       // One counter track per edge ("uot.edge0.effective_blocks", ...) so
-      // Perfetto plots each edge's UoT trajectory separately.
+      // Perfetto plots each edge's UoT separately.
       AppendJsonString(&line, "uot.edge" + std::to_string(e.arg0) +
                                   ".effective_blocks");
     } else if (e.type == TraceEventType::kJoinBatchStage) {
@@ -384,18 +379,6 @@ void TraceSession::ExportChromeJson(std::ostream& os) const {
         AppendKeyValue(&line, "bytes", e.value, &first_arg);
         break;
       case TraceEventType::kUotEffective:
-        AppendKeyValue(&line, "blocks", e.value, &first_arg);
-        break;
-      case TraceEventType::kUotAdapt:
-        AppendKeyValue(&line, "edge", e.arg0, &first_arg);
-        AppendKeyValue(&line, "from_blocks", e.arg1, &first_arg);
-        AppendKeyValue(&line, "to_blocks", e.value, &first_arg);
-        break;
-      case TraceEventType::kUotDecision:
-        AppendKeyValue(&line, "edge", e.arg0, &first_arg);
-        line += ",\"cause\":";
-        AppendJsonString(&line,
-                         UotAdaptCauseName(static_cast<UotAdaptCause>(e.arg1)));
         AppendKeyValue(&line, "blocks", e.value, &first_arg);
         break;
       case TraceEventType::kJoinBatchStage:

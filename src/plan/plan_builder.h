@@ -206,7 +206,7 @@ class PlanBuilder {
 
   /// Pins the streaming edge `producer` -> `consumer` (wired earlier by a
   /// Select/Probe/Aggregate/Sort call whose input was `producer`) to a
-  /// fixed UoT, overriding the session's policy for that edge.
+  /// fixed UoT, overriding ExecConfig::uot for that edge.
   PlanBuilder& AnnotateEdgeUot(const Src& producer, const Src& consumer,
                                UotPolicy uot) {
     const int edge = plan_->FindStreamingEdge(producer.op, consumer.op);

@@ -50,8 +50,7 @@ class QueryPlan {
     int consumer_input;
     /// Per-edge UoT annotation in blocks per transfer
     /// (UotPolicy::kWholeTable = materialize). 0 = unannotated: the edge
-    /// follows the session's UoT policy. An annotation pins the edge — it
-    /// overrides both the session default and any runtime-adaptive policy.
+    /// follows ExecConfig::uot. An annotation pins the edge for the run.
     uint64_t uot_blocks = 0;
     EdgeKind kind = EdgeKind::kPipeline;
   };
@@ -61,7 +60,7 @@ class QueryPlan {
   };
 
   /// What the Section V/VI cost model expected of one streaming edge when
-  /// it chose (or seeded) the edge's UoT. Stored on the plan by
+  /// it chose the edge's UoT. Stored on the plan by
   /// CostModelUotChooser::AnnotatePredictions so the post-run profile can
   /// compute residuals (predicted minus measured) without re-running the
   /// model — the observe half of the observe–model–act loop.
@@ -131,8 +130,8 @@ class QueryPlan {
     return blocking_edges_;
   }
 
-  /// Pins streaming edge `edge_index` to a fixed UoT, overriding
-  /// ExecConfig::uot for that edge. A per-edge UotPolicy aborts.
+  /// Pins streaming edge `edge_index` to `uot`, overriding ExecConfig::uot
+  /// for that edge.
   void AnnotateEdgeUot(int edge_index, UotPolicy uot);
 
   /// The UoT annotation of streaming edge `edge_index`, or nullopt when

@@ -67,13 +67,11 @@ std::string ExecutionStats::ToString() const {
     }
     out += "\n";
   }
-  if (budget_deferrals > 0 || budget_stalls > 0 || uot_adaptations > 0) {
+  if (budget_deferrals > 0 || budget_stalls > 0) {
     std::snprintf(line, sizeof(line),
-                  "  budget deferrals=%llu stalls=%llu, uot adaptations=%llu"
-                  "\n",
+                  "  budget deferrals=%llu stalls=%llu\n",
                   static_cast<unsigned long long>(budget_deferrals),
-                  static_cast<unsigned long long>(budget_stalls),
-                  static_cast<unsigned long long>(uot_adaptations));
+                  static_cast<unsigned long long>(budget_stalls));
     out += line;
   }
   return out;

@@ -62,8 +62,8 @@ struct EdgeStats {
   /// edge's measured Section VI footprint.
   uint64_t max_buffered_bytes = 0;
   uint64_t max_buffered_blocks = 0;
-  /// Effective UoT when the edge flushed (UotPolicy::kWholeTable for
-  /// materializing edges).
+  /// The edge's UoT: its plan pin, else ExecConfig::uot
+  /// (UotPolicy::kWholeTable for materializing edges, 0 for fused edges).
   uint64_t final_uot_blocks = 0;
   /// True for exchange/repartition edges (QueryPlan::EdgeKind::kExchange).
   bool exchange = false;
@@ -120,16 +120,6 @@ struct ExchangeStats {
   }
 };
 
-/// One entry of the adaptive-decision log: the policy layer (re)resolved
-/// an edge's effective UoT. Recorded only when ExecConfig::profile is set.
-struct UotDecisionRecord {
-  int64_t t_ns = 0;  // absolute monotonic, same clock as query_start_ns
-  int edge = -1;
-  uint64_t from_blocks = 0;  // 0 = first resolution (no prior value)
-  uint64_t to_blocks = 0;    // UotPolicy::kWholeTable = materialize
-  UotAdaptCause cause = UotAdaptCause::kNone;
-};
-
 /// One memory-budget deferral or release, with the tracked bytes that
 /// motivated it. Recorded only when ExecConfig::profile is set.
 struct BudgetEventRecord {
@@ -162,12 +152,9 @@ struct ExecutionStats {
   /// Every fused pipeline the session executed (empty under
   /// PipelineMode::kVectorized or when no chain was fusable).
   std::vector<FusedChainStats> fused_chains;
-  /// True when the session ran with ExecConfig::profile: the decision and
-  /// budget-event logs below were collected.
+  /// True when the session ran with ExecConfig::profile: the budget-event
+  /// log below was collected.
   bool profiled = false;
-  /// Every effective-UoT resolution in time order (the per-edge UoT
-  /// timeline); empty unless profiled.
-  std::vector<UotDecisionRecord> uot_decisions;
   /// Every budget deferral/release in time order; empty unless profiled.
   std::vector<BudgetEventRecord> budget_events;
   /// Peak memory during execution, per category.
@@ -180,11 +167,8 @@ struct ExecutionStats {
   /// the duration-like measure of budget pressure (each completion event
   /// that could not re-admit work counts once).
   uint64_t budget_stalls = 0;
-  /// Mid-query effective-UoT changes across all streaming edges (0 for
-  /// fixed policies).
-  uint64_t uot_adaptations = 0;
   /// ExecConfig::ToString() of the session that ran the query, so failure
-  /// output and logs show which policy actually executed.
+  /// output and logs show which configuration actually executed.
   std::string config_summary;
 
   double QueryMillis() const {

@@ -48,7 +48,6 @@ void QuerySession::InitObservability() {
   op_ctx_.join = config_.join;
   op_ctx_.trace = trace_;
   edge_uot_gauge_.clear();
-  edge_uot_adaptations_.clear();
   if (metrics_ == nullptr) {
     work_order_count_ = nullptr;
     work_order_latency_ns_ = nullptr;
@@ -56,7 +55,6 @@ void QuerySession::InitObservability() {
     event_queue_depth_ = nullptr;
     budget_deferrals_ = nullptr;
     budget_stalls_ = nullptr;
-    uot_adaptations_ = nullptr;
     return;
   }
   op_ctx_.join_probe_batches =
@@ -78,7 +76,6 @@ void QuerySession::InitObservability() {
       metrics_->GetCounter(MetricName("scheduler.budget.deferrals"));
   budget_stalls_ =
       metrics_->GetCounter(MetricName("scheduler.budget.stalls"));
-  uot_adaptations_ = metrics_->GetCounter(MetricName("uot.adaptations"));
   for (int i = 0; i < n; ++i) {
     const std::string prefix =
         MetricName("scheduler.op.") + std::to_string(i);
@@ -91,12 +88,8 @@ void QuerySession::InitObservability() {
     edge_transfer_metric_.push_back(
         metrics_->GetCounter(prefix + ".transfers"));
     edge_blocks_metric_.push_back(metrics_->GetCounter(prefix + ".blocks"));
-    const std::string uot_prefix =
-        MetricName("uot.edge.") + std::to_string(e);
-    edge_uot_gauge_.push_back(
-        metrics_->GetGauge(uot_prefix + ".effective_blocks"));
-    edge_uot_adaptations_.push_back(
-        metrics_->GetCounter(uot_prefix + ".adaptations"));
+    edge_uot_gauge_.push_back(metrics_->GetGauge(
+        MetricName("uot.edge.") + std::to_string(e) + ".effective_blocks"));
   }
 }
 
@@ -126,13 +119,6 @@ ExecutionStats QuerySession::Run() {
   stats_.config_summary = config_.ToString();
   stats_.operators.resize(static_cast<size_t>(n));
 
-  // The structural floor policies measure pressure against: whatever is
-  // already tracked (base tables, concurrent queries) when we start.
-  baseline_tracked_bytes_ = plan_->storage()->tracker().TotalCurrent();
-  edge_pin_.clear();
-  for (const QueryPlan::StreamingEdge& e : plan_->streaming_edges()) {
-    edge_pin_.push_back(e.uot_blocks);
-  }
   // Cache each edge's payload row width so transfer-volume accounting is
   // a multiply, not a schema lookup, per block.
   for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
@@ -201,22 +187,7 @@ ExecutionStats QuerySession::Run() {
   plan_->storage()->tracker().ResetPeaks();
   stats_.query_start_ns = NowNanos();
 
-  // Record each edge's starting UoT so metrics/traces show the full
-  // trajectory (adaptive policies may move it on later consultations).
-  // Fused interior edges never consult the policy — no blocks ever cross
-  // them; their gauge/track value is the -1 sentinel (0 already means
-  // whole-table) so dashboards show "fused", not a stale UoT.
-  for (size_t e = 0; e < plan_->streaming_edges().size(); ++e) {
-    if (fused_edge_[e]) {
-      if (metrics_ != nullptr) edge_uot_gauge_[e]->Set(-1);
-      if (trace_ != nullptr) {
-        trace_->EmitCounter(obs::TraceEventType::kUotEffective,
-                            static_cast<int>(e), -1);
-      }
-      continue;
-    }
-    ResolveEdgeUot(static_cast<int>(e));
-  }
+  ResolveEdgeUots();
 
   for (int i = 0; i < n; ++i) TryGenerate(i);
   ReleaseDeferred();
@@ -266,7 +237,7 @@ ExecutionStats QuerySession::Run() {
     edge_stats.bytes_delivered = state.bytes_delivered;
     edge_stats.max_buffered_bytes = state.max_buffered_bytes;
     edge_stats.max_buffered_blocks = state.max_buffered_blocks;
-    edge_stats.final_uot_blocks = state.effective_uot;
+    edge_stats.final_uot_blocks = state.uot_blocks;
     edge_stats.exchange = plan_edges[e].kind == QueryPlan::EdgeKind::kExchange;
     edge_stats.fused = fused_edge_[e];
     stats_.edges.push_back(edge_stats);
@@ -549,93 +520,29 @@ void QuerySession::CheckOperatorDone(int op) {
   event_queue_.Push(Event{Event::Kind::kOperatorFlushed, op, nullptr, {}, {}});
 }
 
-uint64_t QuerySession::ResolveEdgeUot(int edge_index) {
-  const size_t e = static_cast<size_t>(edge_index);
-  EdgeState& state = edge_states_[e];
-  uint64_t blocks;
-  UotAdaptCause cause = UotAdaptCause::kNone;
-  EdgeUotPolicy* per_edge = config_.uot.per_edge();
-  if (edge_pin_[e] != 0) {
-    blocks = edge_pin_[e];
-    cause = UotAdaptCause::kPinned;
-  } else if (per_edge == nullptr) {
-    blocks = config_.uot.blocks_per_transfer();
-  } else {
-    const QueryPlan::StreamingEdge& edge = plan_->streaming_edges()[e];
-    EdgeRuntimeState rt;
-    rt.edge_index = edge_index;
-    rt.producer = edge.producer;
-    rt.consumer = edge.consumer;
-    rt.query_id = query_id_;
-    rt.is_exchange = edge.kind == QueryPlan::EdgeKind::kExchange;
-    rt.buffered_blocks = state.buffer.size();
-    rt.produced_blocks = state.produced;
-    rt.transfers = state.transfers;
-    const OpState& producer = op_states_[static_cast<size_t>(edge.producer)];
-    rt.producer_finished = producer.finished || producer.finishing;
-    rt.tracked_bytes = plan_->storage()->tracker().TotalCurrent();
-    rt.memory_budget_bytes = config_.memory_budget_bytes;
-    rt.baseline_tracked_bytes = baseline_tracked_bytes_;
-    rt.deferred_work_orders = deferred_.size();
-    rt.producer_work_orders_done = producer.completed;
-    rt.consumer_work_orders_done =
-        op_states_[static_cast<size_t>(edge.consumer)].completed;
-    blocks = per_edge->BlocksPerTransfer(rt, &cause);
-  }
-  UOT_CHECK(blocks != 0);  // a zero UoT is a policy bug, not a request
-  if (blocks != state.effective_uot) {
-    // First resolution of the edge is the seed value unless a pin or the
-    // policy itself says otherwise.
-    if (state.effective_uot == 0 && cause == UotAdaptCause::kNone) {
-      cause = UotAdaptCause::kSeed;
-    }
+void QuerySession::ResolveEdgeUots() {
+  const auto& edges = plan_->streaming_edges();
+  for (size_t e = 0; e < edges.size(); ++e) {
+    EdgeState& state = edge_states_[e];
     // Gauge/counter-track value: blocks per transfer, with 0 standing in
     // for whole-table (0 is otherwise invalid, so the sentinel is
-    // unambiguous and keeps the track plottable).
-    const int64_t plotted =
-        blocks == UotPolicy::kWholeTable ? 0
-                                         : static_cast<int64_t>(blocks);
+    // unambiguous and keeps the track plottable) and -1 for a fused edge,
+    // which no block ever crosses.
+    int64_t plotted = -1;
+    if (!fused_edge_[e]) {
+      state.uot_blocks = edges[e].uot_blocks != 0
+                             ? edges[e].uot_blocks
+                             : config_.uot.blocks_per_transfer();
+      plotted = state.uot_blocks == UotPolicy::kWholeTable
+                    ? 0
+                    : static_cast<int64_t>(state.uot_blocks);
+    }
     if (metrics_ != nullptr) edge_uot_gauge_[e]->Set(plotted);
     if (trace_ != nullptr) {
-      trace_->EmitCounter(obs::TraceEventType::kUotEffective, edge_index,
-                          plotted);
+      trace_->EmitCounter(obs::TraceEventType::kUotEffective,
+                          static_cast<int>(e), plotted);
     }
-    if (state.effective_uot != 0) {  // a mid-query change: an adaptation
-      ++stats_.uot_adaptations;
-      if (metrics_ != nullptr) {
-        uot_adaptations_->Increment();
-        edge_uot_adaptations_[e]->Increment();
-      }
-      if (trace_ != nullptr) {
-        const int64_t previous =
-            state.effective_uot == UotPolicy::kWholeTable
-                ? 0
-                : static_cast<int64_t>(state.effective_uot);
-        trace_->EmitInstant(obs::TraceEventType::kUotAdapt, /*tid=*/0,
-                            edge_index,
-                            static_cast<int32_t>(std::min<int64_t>(
-                                previous, INT32_MAX)),
-                            plotted);
-      }
-    }
-    // The adaptive-decision log: one instant per (re)resolution that
-    // changed the edge, with the cause the policy reported.
-    if (trace_ != nullptr) {
-      trace_->EmitInstant(obs::TraceEventType::kUotDecision, /*tid=*/0,
-                          edge_index, static_cast<int32_t>(cause), plotted);
-    }
-    if (config_.profile) {
-      UotDecisionRecord decision;
-      decision.t_ns = NowNanos();
-      decision.edge = edge_index;
-      decision.from_blocks = state.effective_uot;
-      decision.to_blocks = blocks;
-      decision.cause = cause;
-      stats_.uot_decisions.push_back(decision);
-    }
-    state.effective_uot = blocks;
   }
-  return blocks;
 }
 
 void QuerySession::RecordBudgetEvent(int op, bool release,
@@ -664,8 +571,8 @@ void QuerySession::HandleBlockReady(int op, Block* block) {
     if (edge.buffer.size() > edge.max_buffered_blocks) {
       edge.max_buffered_blocks = edge.buffer.size();
     }
-    const uint64_t blocks = ResolveEdgeUot(static_cast<int>(i));
-    if (blocks != UotPolicy::kWholeTable && edge.buffer.size() >= blocks) {
+    if (edge.uot_blocks != UotPolicy::kWholeTable &&
+        edge.buffer.size() >= edge.uot_blocks) {
       DeliverEdge(static_cast<int>(i), /*final_flush=*/false);
     }
   }

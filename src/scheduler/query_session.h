@@ -108,10 +108,10 @@ class QuerySession {
     std::vector<Block*> buffer;
     uint64_t transfers = 0;
     uint64_t produced = 0;  // total blocks completed by the producer
-    // Last UoT value the policy resolved for this edge (0 = never
-    // consulted; UotPolicy::kWholeTable = materializing). Changes are
-    // counted/traced as adaptations.
-    uint64_t effective_uot = 0;
+    // Blocks per transfer, resolved once at Run() start (its plan pin,
+    // else config.uot; UotPolicy::kWholeTable = materializing; 0 for a
+    // fused edge, which never transfers).
+    uint64_t uot_blocks = 0;
     // Measured transfer volume (EdgeStats): payload bytes follow
     // block rows x the producer schema's row width, cached per edge at
     // Run() start.
@@ -136,11 +136,10 @@ class QuerySession {
   std::string MetricName(const char* name) const;
   /// Samples queue-depth gauges/counter tracks (observability only).
   void SampleQueueDepths();
-  /// Resolves the UoT of `edge_index` (its plan pin, else config.uot's
-  /// per-edge policy, else config.uot's fixed value) and returns the
-  /// blocks-per-transfer threshold. Records effective-UoT gauges/counter
-  /// tracks and counts/traces mid-query changes as adaptations.
-  uint64_t ResolveEdgeUot(int edge_index);
+  /// Resolves every streaming edge's UoT (its plan pin, else config.uot)
+  /// into EdgeState::uot_blocks and records it once in the effective-UoT
+  /// gauge and counter track (-1 for a fused edge).
+  void ResolveEdgeUots();
   /// Appends to the profile's budget-event log (and mirrors the existing
   /// trace instants); no-op unless config.profile is set.
   void RecordBudgetEvent(int op, bool release, int64_t tracked_bytes);
@@ -196,10 +195,6 @@ class QuerySession {
   int total_running_ = 0;
   ExecutionStats stats_;
 
-  int64_t baseline_tracked_bytes_ = 0;  // tracked bytes at session start
-  // Per-edge plan annotations (0 = unpinned); they override config_.uot.
-  std::vector<uint64_t> edge_pin_;
-
   // Observability sinks and pre-resolved metric handles, all null when the
   // corresponding ExecConfig option is unset.
   obs::TraceSession* trace_ = nullptr;
@@ -210,9 +205,7 @@ class QuerySession {
   obs::Gauge* event_queue_depth_ = nullptr;
   obs::Counter* budget_deferrals_ = nullptr;
   obs::Counter* budget_stalls_ = nullptr;
-  obs::Counter* uot_adaptations_ = nullptr;
   std::vector<obs::Gauge*> edge_uot_gauge_;
-  std::vector<obs::Counter*> edge_uot_adaptations_;
   // Execution context bound to every operator before generation: kernel
   // knobs from the config plus the sinks above, pre-resolved so batched
   // join work orders update counters lock-free.

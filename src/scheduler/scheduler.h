@@ -51,9 +51,8 @@ struct ExecConfig {
   /// pool; sessions submitted to a shared Engine run on the engine's pool,
   /// whose size replaces this field.
   int num_workers = 4;
-  /// The unit of transfer: one fixed value for every streaming edge, or a
-  /// per-edge policy (UotPolicy::PerEdge) consulted on every
-  /// block-completion event. Per-edge plan annotations
+  /// The unit of transfer of every streaming edge, resolved once per edge
+  /// when the session starts. Per-edge plan annotations
   /// (QueryPlan::AnnotateEdgeUot) pin an edge and take precedence.
   UotPolicy uot;
   /// Optional cap on concurrently executing work orders per operator
@@ -90,9 +89,9 @@ struct ExecConfig {
   /// Lets concurrent sessions share one MetricsRegistry without their
   /// counters colliding; empty (the default) keeps the historical names.
   std::string metrics_prefix;
-  /// Collect the per-query profile logs (effective-UoT decision timeline
-  /// with causes, budget defer/release events) in ExecutionStats so
-  /// obs::QueryProfile can assemble an EXPLAIN-ANALYZE-style report.
+  /// Collect the per-query budget defer/release event log in
+  /// ExecutionStats so obs::QueryProfile can assemble an
+  /// EXPLAIN-ANALYZE-style report.
   /// Off (the default) keeps the coordinator loop allocation-free; cheap
   /// per-edge integer accounting (EdgeStats) is always collected because
   /// it cannot change transfer behavior.
@@ -104,7 +103,7 @@ struct ExecConfig {
   PipelineMode pipeline_mode = PipelineMode::kVectorized;
 
   /// One-line summary of the resolved execution configuration (worker
-  /// count, effective UoT policy, join kernel, caps and budget) for logs,
+  /// count, UoT, join kernel, caps and budget) for logs,
   /// traces and test-failure output.
   std::string ToString() const;
 };

@@ -27,8 +27,6 @@ struct OpRuntime {
   bool producer_done = true;  // false while a streaming producer still runs
   int blocking_remaining = 0;
   uint64_t buffered_blocks = 0;  // producer blocks awaiting UoT transfer
-  uint64_t produced_blocks = 0;  // total blocks the producer emitted
-  uint64_t transfers_in = 0;     // UoT transfers received as a consumer
   double carry = 0.0;            // fractional consumer work orders
 
   // Statistics.
@@ -122,37 +120,18 @@ SimResult DesScheduler::Run(const std::vector<SimOperator>& ops,
     }
   };
 
-  // Transfers buffered producer blocks to the consumer per the UoT policy.
+  // Transfers buffered producer blocks to the consumer per the UoT.
   auto maybe_transfer = [&](int producer, bool final_flush) {
     for (int i = 0; i < n; ++i) {
       const SimOperator& o = ops[static_cast<size_t>(i)];
       if (o.streaming_producer != producer) continue;
       OpRuntime& prod = state[static_cast<size_t>(producer)];
       OpRuntime& cons = state[static_cast<size_t>(i)];
-      uint64_t k;
-      if (EdgeUotPolicy* per_edge = config.uot.per_edge()) {
-        EdgeRuntimeState rt;
-        rt.edge_index = i;
-        rt.producer = producer;
-        rt.consumer = i;
-        rt.buffered_blocks = prod.buffered_blocks;
-        rt.produced_blocks = prod.produced_blocks;
-        rt.transfers = cons.transfers_in;
-        rt.producer_finished = final_flush;
-        rt.producer_work_orders_done = prod.completed;
-        rt.consumer_work_orders_done = cons.completed;
-        UotAdaptCause cause = UotAdaptCause::kNone;
-        k = per_edge->BlocksPerTransfer(rt, &cause);
-        UOT_CHECK(k != 0);  // a zero UoT is a policy bug
-      } else {
-        k = config.uot.blocks_per_transfer();
-      }
-      if (k == UotPolicy::kWholeTable) k = UINT64_MAX;
+      const uint64_t k = config.uot.blocks_per_transfer();
       while (prod.buffered_blocks >= k ||
              (final_flush && prod.buffered_blocks > 0)) {
         const uint64_t batch = std::min(prod.buffered_blocks, k);
         prod.buffered_blocks -= batch;
-        ++cons.transfers_in;
         cons.carry +=
             static_cast<double>(batch) * o.consumer_wo_per_block;
         const uint64_t whole = static_cast<uint64_t>(cons.carry);
@@ -226,7 +205,6 @@ SimResult DesScheduler::Run(const std::vector<SimOperator>& ops,
     s.last_end = now;
     // Each completed work order of a streaming producer emits one block.
     s.buffered_blocks += 1;
-    s.produced_blocks += 1;
     maybe_transfer(ev.op, /*final_flush=*/false);
     settle();
   }

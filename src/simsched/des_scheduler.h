@@ -46,11 +46,7 @@ struct SimOperator {
 
 struct SimConfig {
   int num_workers = 20;
-  /// The unit of transfer, as in ExecConfig::uot. A per-edge policy is
-  /// consulted with the simulated edge's runtime state whenever buffered
-  /// producer blocks might transfer; the edge index reported to it is the
-  /// consumer operator's index (each simulated consumer has exactly one
-  /// streaming input).
+  /// The unit of transfer of every simulated edge, as in ExecConfig::uot.
   UotPolicy uot;
 };
 

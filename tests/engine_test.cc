@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/adaptive_uot_policy.h"
 #include "exec/engine.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
@@ -541,57 +540,6 @@ TEST(EngineTest, AdmissionIsFifoInArrivalOrder) {
         << "waiter " << i + 1 << " overtook waiter " << i << " in admission";
   }
   EXPECT_EQ(engine.queries_executed(), static_cast<uint64_t>(kWaiters) + 1);
-}
-
-TEST(EngineTest, ConcurrentQueriesShareOneAdaptivePolicy) {
-  // One AdaptiveUotPolicy instance serving every concurrent session of the
-  // engine: per-(query, edge) state must not bleed between queries, and
-  // results must match the serial run. Runs under -fsanitize=thread in CI.
-  StorageManager storage;
-  auto input = MakeKvTable(&storage, "in", 8000, 16, Layout::kRowStore, 2048);
-
-  std::string expected;
-  {
-    ExecConfig serial;
-    serial.uot = UotPolicy::LowUot(1);
-    auto plan = MakeSelectAggPlan(&storage, *input, 100.0);
-    QueryExecutor::Execute(plan.get(), serial);
-    expected = CanonicalRows(*plan->result_table());
-  }
-  ASSERT_FALSE(expected.empty());
-
-  EngineConfig engine_config;
-  engine_config.num_workers = 4;
-  Engine engine(engine_config);
-
-  auto adaptive = std::make_shared<AdaptiveUotPolicy>();
-  obs::MetricsRegistry metrics;
-  ExecConfig config;
-  config.uot = UotPolicy::PerEdge(adaptive);
-  config.memory_budget_bytes = 1;  // constant pressure: adaptation traffic
-  config.metrics = &metrics;
-
-  constexpr int kQueries = 6;
-  std::vector<std::unique_ptr<QueryPlan>> plans;
-  for (int i = 0; i < kQueries; ++i) {
-    plans.push_back(MakeSelectAggPlan(&storage, *input, 100.0));
-  }
-  StartGate gate(kQueries);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kQueries; ++i) {
-    threads.emplace_back([&, i] {
-      gate.ArriveAndWait();
-      engine.Execute(plans[static_cast<size_t>(i)].get(), config);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  for (const auto& plan : plans) {
-    EXPECT_EQ(CanonicalRows(*plan->result_table()), expected);
-  }
-  // Every query narrowed its edge independently under the shared policy.
-  EXPECT_GE(adaptive->adaptations(), static_cast<uint64_t>(kQueries));
-  EXPECT_EQ(engine.queries_executed(), static_cast<uint64_t>(kQueries));
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/uot_policy.h"
@@ -19,27 +18,9 @@ TEST(UotPolicyTest, DefaultsToOneBlock) {
 }
 
 TEST(UotPolicyDeathTest, ZeroBlocksIsInvalid) {
-  // A UoT of zero blocks is meaningless; a chooser/policy bug producing it
+  // A UoT of zero blocks is meaningless; a chooser bug producing it
   // must abort loudly instead of silently degrading to pipelining.
   EXPECT_DEATH(UotPolicy policy(0), "blocks_per_transfer != 0");
-}
-
-TEST(UotPolicyTest, PerEdgeHoldsItsPolicy) {
-  EXPECT_EQ(UotPolicy::LowUot(8).per_edge(), nullptr);
-  EXPECT_EQ(UotPolicy::HighUot().per_edge(), nullptr);
-  auto adaptive = std::make_shared<AdaptiveUotPolicy>();
-  const UotPolicy uot = UotPolicy::PerEdge(adaptive);
-  EXPECT_EQ(uot.per_edge(), adaptive.get());
-  EXPECT_FALSE(uot.IsWholeTable());
-  EXPECT_EQ(uot.ToString(), adaptive->ToString());
-}
-
-TEST(UotPolicyDeathTest, PerEdgeHasNoFixedValue) {
-  // A per-edge UoT is decided edge by edge at runtime; reading one fixed
-  // value from it (e.g. to pin a plan edge) is a caller bug.
-  const UotPolicy uot =
-      UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
-  EXPECT_DEATH(uot.blocks_per_transfer(), "per_edge_ == nullptr");
 }
 
 TEST(ExecConfigTest, ToStringShowsResolvedPolicyAndJoinKnobs) {
@@ -52,14 +33,14 @@ TEST(ExecConfigTest, ToStringShowsResolvedPolicyAndJoinKnobs) {
   EXPECT_NE(fixed.find("join=batched(batch=256,prefetch=16)"),
             std::string::npos);
 
-  config.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
+  config.uot = UotPolicy::HighUot();
   config.memory_budget_bytes = 123456;
   config.join.batch_size = 64;
   config.join.prefetch_distance = 0;
-  const std::string adaptive = config.ToString();
-  EXPECT_NE(adaptive.find("adaptive("), std::string::npos);
-  EXPECT_NE(adaptive.find("budget=123456B"), std::string::npos);
-  EXPECT_NE(adaptive.find("join=batched(batch=64,prefetch=0)"),
+  const std::string whole = config.ToString();
+  EXPECT_NE(whole.find("uot=UoT=whole-table"), std::string::npos);
+  EXPECT_NE(whole.find("budget=123456B"), std::string::npos);
+  EXPECT_NE(whole.find("join=batched(batch=64,prefetch=0)"),
             std::string::npos);
 }
 

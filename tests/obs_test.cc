@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace_json.h"
@@ -413,10 +412,10 @@ TEST(ObsIntegrationTest, DisabledTracingLeavesNoFootprint) {
   EXPECT_EQ(exec.metrics, nullptr);
 }
 
-TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
+TEST(ObsIntegrationTest, EdgeUotIsVisibleInTraceAndMetrics) {
   // Per-edge UoT observability: the exported trace carries one counter
-  // track per edge (the UoT trajectory Perfetto renders as a step graph)
-  // and an instant per adaptation; metrics mirror both.
+  // track per edge, written once at session start with the edge's UoT (its
+  // plan pin, else the session's value); the metrics gauges mirror it.
   StorageManager storage;
   TpchDatabase db(&storage);
   TpchConfig config;
@@ -433,24 +432,31 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   MetricsRegistry metrics;
   ExecConfig exec;
   exec.num_workers = 4;
-  exec.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
-  exec.memory_budget_bytes = 1;  // constant pressure -> adaptations
+  exec.uot = UotPolicy::LowUot(2);
+  exec.memory_budget_bytes = 1;  // pressure leaves the UoT where it is
   exec.trace = &trace;
   exec.metrics = &metrics;
+  // Pin the first edge to whole-table: its track reads the 0 sentinel.
+  ASSERT_GT(plan->streaming_edges().size(), 1u);
+  plan->AnnotateEdgeUot(0, UotPolicy::HighUot());
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), exec);
 
-  size_t effective_events = 0, adapt_events = 0;
+  // Exactly one counter event per non-fused edge, carrying its UoT.
+  std::vector<int> events_per_edge(stats.edges.size(), 0);
   for (const TraceEvent& e : trace.SortedEvents()) {
-    if (e.type == TraceEventType::kUotEffective) ++effective_events;
-    if (e.type == TraceEventType::kUotAdapt) ++adapt_events;
+    if (e.type != TraceEventType::kUotEffective) continue;
+    ASSERT_GE(e.arg0, 0);
+    ASSERT_LT(static_cast<size_t>(e.arg0), stats.edges.size());
+    ++events_per_edge[static_cast<size_t>(e.arg0)];
+    EXPECT_EQ(e.value, e.arg0 == 0 ? 0 : 2) << "edge " << e.arg0;
   }
-  // Every streaming edge announces its starting UoT, then each adaptation
-  // re-emits the counter: counter events strictly outnumber adaptations.
-  ASSERT_GT(stats.edges.size(), 0u);
-  EXPECT_GE(effective_events,
-            stats.edges.size() + stats.uot_adaptations);
-  EXPECT_GT(stats.uot_adaptations, 0u);
-  EXPECT_EQ(adapt_events, stats.uot_adaptations);
+  for (size_t e = 0; e < stats.edges.size(); ++e) {
+    ASSERT_FALSE(stats.edges[e].fused);
+    EXPECT_EQ(events_per_edge[e], 1) << "edge " << e;
+    EXPECT_EQ(stats.edges[e].final_uot_blocks,
+              e == 0 ? UotPolicy::kWholeTable : 2u)
+        << "edge " << e;
+  }
 
   // The Chrome JSON still parses and carries the per-edge counter track.
   const std::string json = trace.ToChromeJson();
@@ -458,19 +464,14 @@ TEST(ObsIntegrationTest, UotTrajectoryIsVisibleInTraceAndMetrics) {
   ASSERT_TRUE(ParseChromeTraceJson(json, &summary).ok());
   EXPECT_TRUE(summary.timestamps_monotonic);
   EXPECT_NE(json.find("uot.edge0.effective_blocks"), std::string::npos);
-  EXPECT_NE(json.find("uot_adapt"), std::string::npos);
-  EXPECT_NE(json.find("from_blocks"), std::string::npos);
 
-  // Metrics mirror the trace: a gauge per edge plus adaptation counters.
+  // Metrics mirror the trace: a gauge per edge holding the same value.
   for (size_t e = 0; e < stats.edges.size(); ++e) {
     const Gauge* gauge = metrics.FindGauge(
         "uot.edge." + std::to_string(e) + ".effective_blocks");
     ASSERT_NE(gauge, nullptr);
-    EXPECT_GT(gauge->Max(), 0);
+    EXPECT_EQ(gauge->Value(), e == 0 ? 0 : 2) << "edge " << e;
   }
-  const Counter* adaptations = metrics.FindCounter("uot.adaptations");
-  ASSERT_NE(adaptations, nullptr);
-  EXPECT_EQ(adaptations->Value(), stats.uot_adaptations);
 }
 
 }  // namespace

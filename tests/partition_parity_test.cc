@@ -1,8 +1,8 @@
 // Differential parity harness for the radix-partitioned hash join (ISSUE 7
 // tentpole anchor): seeded randomized join trees execute through
-// {unpartitioned, radix_bits 1..6} x {fixed, model-annotated, adaptive UoT}
-// and every configuration must produce byte-identical sorted results, with
-// per-edge transfer-count invariants holding on every run.
+// {unpartitioned, radix_bits 1..6} x {2-block, model-annotated, whole-table
+// UoT} and every configuration must produce byte-identical sorted results,
+// with per-edge transfer-count invariants holding on every run.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
 #include "model/uot_chooser.h"
 #include "operators/exchange_operator.h"
@@ -25,7 +24,7 @@ namespace {
 
 using ::uot::testing::RandomJoinQuery;
 
-enum class PolicyMode { kFixed, kModel, kAdaptive };
+enum class PolicyMode { kFixed, kModel, kWholeTable };
 
 const char* PolicyName(PolicyMode mode) {
   switch (mode) {
@@ -33,8 +32,8 @@ const char* PolicyName(PolicyMode mode) {
       return "fixed";
     case PolicyMode::kModel:
       return "model";
-    case PolicyMode::kAdaptive:
-      return "adaptive";
+    case PolicyMode::kWholeTable:
+      return "whole-table";
   }
   return "?";
 }
@@ -129,12 +128,19 @@ std::string RunOnce(StorageManager* storage, const RandomJoinQuery& query,
 
   ExecConfig config;
   config.num_workers = 2;
-  config.uot = policy == PolicyMode::kAdaptive
-                   ? UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>())
-                   : UotPolicy::LowUot(2);
+  config.uot = policy == PolicyMode::kWholeTable ? UotPolicy::HighUot()
+                                                 : UotPolicy::LowUot(2);
   const ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
   CheckTransferInvariants(*plan, stats, radix_bits, query.num_joins(),
                           label);
+  // Each edge runs at its plan pin, else at the session's UoT.
+  std::vector<uint64_t> per_edge_k;
+  for (size_t e = 0; e < plan->streaming_edges().size(); ++e) {
+    per_edge_k.push_back(plan->edge_uot(static_cast<int>(e))
+                             .value_or(config.uot)
+                             .blocks_per_transfer());
+  }
+  EXPECT_TRUE(testing::TransfersFollowUot(stats, per_edge_k)) << label;
   return CanonicalRows(*plan->result_table());
 }
 
@@ -151,7 +157,7 @@ int NumFuzzSeeds() {
 TEST(PartitionParityTest, SeededRandomPlansAreByteIdenticalAcrossMatrix) {
   const int num_seeds = NumFuzzSeeds();
   const PolicyMode kPolicies[] = {PolicyMode::kFixed, PolicyMode::kModel,
-                                  PolicyMode::kAdaptive};
+                                  PolicyMode::kWholeTable};
   for (int seed = 0; seed < num_seeds; ++seed) {
     StorageManager storage;
     RandomJoinQuery query(&storage, static_cast<uint64_t>(seed));
@@ -187,7 +193,7 @@ TEST(PartitionParityTest, DeepRadixSweepOnOneSkewedQuery) {
   const std::string expected =
       RunOnce(&storage, query, 0, PolicyMode::kFixed);
   for (int radix_bits = 1; radix_bits <= 6; ++radix_bits) {
-    EXPECT_EQ(RunOnce(&storage, query, radix_bits, PolicyMode::kAdaptive),
+    EXPECT_EQ(RunOnce(&storage, query, radix_bits, PolicyMode::kWholeTable),
               expected)
         << "radix=" << radix_bits;
   }

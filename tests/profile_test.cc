@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/adaptive_uot_policy.h"
 #include "exec/engine.h"
 #include "exec/query_executor.h"
 #include "model/uot_chooser.h"
@@ -28,6 +27,7 @@ namespace uot {
 namespace {
 
 using testing::MakeKvTable;
+using testing::TransfersFollowUot;
 
 /// select(TRUE) -> agg(sum(v) group by k) over a plan-owned pipeline: one
 /// streaming edge with a deterministic payload, so oracle estimates can be
@@ -164,51 +164,38 @@ TEST(ProfileTest, OracleEstimatesGiveZeroByteResiduals) {
             nullptr);
 }
 
-TEST(ProfileTest, AdaptiveRunRecordsDecisionLogWithCauses) {
+TEST(ProfileTest, BudgetRunRecordsEventLog) {
   StorageManager storage;
   auto input = MakeKvTable(&storage, "in", 8000, 16, Layout::kRowStore, 2048);
   auto plan = MakeSelectAggPlan(&storage, *input);
 
   ExecConfig config;
   config.num_workers = 2;
-  config.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
-  config.memory_budget_bytes = 1;  // constant pressure: must narrow
+  config.uot = UotPolicy::LowUot(4);
+  config.memory_budget_bytes = 1;  // constant pressure: every dispatch defers
   config.profile = true;
   ExecutionStats stats = QueryExecutor::Execute(plan.get(), config);
 
   EXPECT_TRUE(stats.profiled);
-  ASSERT_FALSE(stats.uot_decisions.empty());
-  // The first record is the edge's initial resolution: from_blocks 0 with
-  // either the seed cause or, under immediate pressure, the policy's own
-  // narrow cause.
-  EXPECT_EQ(stats.uot_decisions.front().from_blocks, 0u);
-  bool saw_narrow = false;
-  int64_t last_t = 0;
-  for (const UotDecisionRecord& d : stats.uot_decisions) {
-    EXPECT_GE(d.t_ns, last_t);
-    last_t = d.t_ns;
-    if (d.from_blocks != 0 &&
-        (d.cause == UotAdaptCause::kDeferralDepth ||
-         d.cause == UotAdaptCause::kHeadroomWatermark)) {
-      saw_narrow = true;
-      EXPECT_LT(d.to_blocks, d.from_blocks);
-    }
-  }
-  EXPECT_EQ(saw_narrow, stats.uot_adaptations > 0);
-  // Budget pressure at budget=1 defers work orders and logs the events.
+  // Budget pressure at budget=1 defers work orders and logs the events in
+  // time order.
   EXPECT_GT(stats.budget_deferrals, 0u);
-  EXPECT_FALSE(stats.budget_events.empty());
+  ASSERT_FALSE(stats.budget_events.empty());
+  int64_t last_t = 0;
+  for (const BudgetEventRecord& ev : stats.budget_events) {
+    EXPECT_GE(ev.t_ns, last_t);
+    last_t = ev.t_ns;
+  }
+  EXPECT_TRUE(TransfersFollowUot(stats, {4}));
 
   // The same run with profiling off keeps identical transfer behavior and
   // collects no logs.
   auto unprofiled_plan = MakeSelectAggPlan(&storage, *input);
   ExecConfig off = config;
-  off.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   off.profile = false;
   ExecutionStats off_stats =
       QueryExecutor::Execute(unprofiled_plan.get(), off);
   EXPECT_FALSE(off_stats.profiled);
-  EXPECT_TRUE(off_stats.uot_decisions.empty());
   EXPECT_TRUE(off_stats.budget_events.empty());
   ASSERT_EQ(off_stats.edges.size(), stats.edges.size());
   EXPECT_EQ(off_stats.edges[0].bytes_delivered,
@@ -233,10 +220,10 @@ TEST(ProfileTest, JsonRoundTripsThroughValidator) {
                                     chooser.ChoosePlan(*fresh, oracle));
   ExecConfig config;
   config.num_workers = 2;
-  config.uot = UotPolicy::PerEdge(std::make_shared<AdaptiveUotPolicy>());
   config.memory_budget_bytes = 1;
   config.profile = true;
   ExecutionStats stats = QueryExecutor::Execute(fresh.get(), config);
+  EXPECT_FALSE(stats.budget_events.empty());
 
   const obs::QueryProfile profile =
       obs::QueryProfile::FromRun(fresh.get(), stats, {"roundtrip"});
@@ -251,7 +238,6 @@ TEST(ProfileTest, JsonRoundTripsThroughValidator) {
   EXPECT_EQ(summary.num_operators, 2u);
   EXPECT_EQ(summary.num_edges, 1u);
   EXPECT_EQ(summary.num_predicted_edges, 1u);
-  EXPECT_EQ(summary.num_uot_decisions, stats.uot_decisions.size());
   EXPECT_EQ(summary.num_budget_events, stats.budget_events.size());
 
   // The validator rejects structurally broken documents.

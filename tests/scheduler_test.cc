@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/adaptive_uot_policy.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace_session.h"
@@ -795,92 +794,10 @@ TEST(PerEdgeUotTest, MultiInputConsumerWithMixedEdgeUot) {
   }
 }
 
-/// A per-edge policy expressed through the interface instead of plan
-/// annotations: edge 0 materializes, every other edge pipelines.
-class FirstEdgeMaterializesPolicy final : public EdgeUotPolicy {
- public:
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge,
-                             UotAdaptCause*) override {
-    return edge.edge_index == 0 ? UotPolicy::kWholeTable : 1;
-  }
-  std::string ToString() const override { return "first-edge-whole"; }
-};
-
-TEST(PerEdgeUotTest, InterfacePolicyMatchesEquivalentAnnotations) {
-  StorageManager storage;
-  auto probe_table = MakeKvTable(&storage, "probe", 4000, 40,
-                                 Layout::kRowStore, 1024);
-  auto build_table = MakeKvTable(&storage, "build", 40, 40,
-                                 Layout::kRowStore, 1024);
-
-  auto annotated = MakeSelectProbeAggPlan(&storage, *probe_table,
-                                          *build_table, 0.0, 1024);
-  annotated.plan->AnnotateEdgeUot(0, UotPolicy::HighUot());
-  annotated.plan->AnnotateEdgeUot(1, UotPolicy::LowUot(1));
-  ExecConfig config;
-  config.num_workers = 2;
-  ExecutionStats annotated_stats =
-      QueryExecutor::Execute(annotated.plan.get(), config);
-
-  auto via_policy = MakeSelectProbeAggPlan(&storage, *probe_table,
-                                           *build_table, 0.0, 1024);
-  ExecConfig policy_config;
-  policy_config.num_workers = 2;
-  policy_config.uot =
-      UotPolicy::PerEdge(std::make_shared<FirstEdgeMaterializesPolicy>());
-  ExecutionStats policy_stats =
-      QueryExecutor::Execute(via_policy.plan.get(), policy_config);
-
-  EXPECT_EQ(CanonicalRows(*via_policy.plan->result_table()),
-            CanonicalRows(*annotated.plan->result_table()));
-  const std::vector<uint64_t> per_edge_k = {UotPolicy::kWholeTable, 1};
-  EXPECT_TRUE(TransfersFollowUot(annotated_stats, per_edge_k));
-  EXPECT_TRUE(TransfersFollowUot(policy_stats, per_edge_k));
-  EXPECT_NE(policy_stats.config_summary.find("first-edge-whole"),
-            std::string::npos);
-}
-
-/// A broken policy: returns 0 blocks per transfer.
-class ZeroUotPolicy final : public EdgeUotPolicy {
- public:
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState&,
-                             UotAdaptCause*) override {
-    return 0;
-  }
-  std::string ToString() const override { return "zero"; }
-};
-
-TEST(PerEdgeUotDeathTest, PolicyReturningZeroAbortsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  StorageManager storage;
-  auto probe_table = MakeKvTable(&storage, "probe", 200, 10,
-                                 Layout::kRowStore, 1024);
-  auto build_table = MakeKvTable(&storage, "build", 10, 10,
-                                 Layout::kRowStore, 1024);
-  auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
-                                1024);
-  ExecConfig config;
-  config.num_workers = 1;
-  config.uot = UotPolicy::PerEdge(std::make_shared<ZeroUotPolicy>());
-  EXPECT_DEATH(QueryExecutor::Execute(sp.plan.get(), config),
-               "blocks != 0");
-}
-
-TEST(PerEdgeUotDeathTest, PinningAPerEdgeUotAborts) {
-  // A plan pin is one fixed value; a per-edge policy cannot pin an edge.
-  StorageManager storage;
-  auto probe_table = MakeKvTable(&storage, "probe", 200, 10,
-                                 Layout::kRowStore, 1024);
-  auto build_table = MakeKvTable(&storage, "build", 10, 10,
-                                 Layout::kRowStore, 1024);
-  auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
-                                1024);
-  EXPECT_DEATH(sp.plan->AnnotateEdgeUot(
-                   0, UotPolicy::PerEdge(std::make_shared<ZeroUotPolicy>())),
-               "per_edge_ == nullptr");
-}
-
-TEST(PerEdgeUotTest, AdaptivePolicyNarrowsUnderBudgetPressure) {
+TEST(PerEdgeUotTest, UotStaysFixedUnderBudgetPressure) {
+  // A UoT is resolved once per edge at session start: a session that runs
+  // permanently over its memory budget keeps the configured value on every
+  // edge, and the gauge reads that value.
   StorageManager storage;
   auto probe_table = MakeKvTable(&storage, "probe", 8000, 10,
                                  Layout::kRowStore, 1024);
@@ -889,6 +806,7 @@ TEST(PerEdgeUotTest, AdaptivePolicyNarrowsUnderBudgetPressure) {
 
   ExecConfig config;
   config.num_workers = 2;
+  config.uot = UotPolicy::LowUot(4);
   std::string expected;
   {
     auto free_run = MakeSelectProbePlan(&storage, *probe_table, *build_table,
@@ -900,25 +818,19 @@ TEST(PerEdgeUotTest, AdaptivePolicyNarrowsUnderBudgetPressure) {
   obs::MetricsRegistry metrics;
   auto sp = MakeSelectProbePlan(&storage, *probe_table, *build_table, 0.0,
                                 1024);
-  auto adaptive = std::make_shared<AdaptiveUotPolicy>();
-  config.uot = UotPolicy::PerEdge(adaptive);
-  config.memory_budget_bytes = 1;  // every consultation sees pressure
+  config.memory_budget_bytes = 1;  // permanently over budget
   config.metrics = &metrics;
   ExecutionStats stats = QueryExecutor::Execute(sp.plan.get(), config);
 
   EXPECT_EQ(CanonicalRows(*sp.plan->result_table()), expected);
-  // Seeded at 4 blocks, pressure narrows toward 1: at least one adaptation,
-  // mirrored in the policy, the stats and the metrics registry.
-  EXPECT_GE(adaptive->adaptations(), 1u);
-  EXPECT_GE(stats.uot_adaptations, 1u);
-  const obs::Counter* adaptations = metrics.FindCounter("uot.adaptations");
-  ASSERT_NE(adaptations, nullptr);
-  EXPECT_EQ(adaptations->Value(), stats.uot_adaptations);
+  EXPECT_GT(stats.budget_deferrals, 0u);
+  EXPECT_TRUE(TransfersFollowUot(stats, {4}));
   const obs::Gauge* gauge =
       metrics.FindGauge("uot.edge.0.effective_blocks");
   ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->Value(), 1);  // narrowed all the way down
-  EXPECT_NE(stats.config_summary.find("adaptive("), std::string::npos);
+  EXPECT_EQ(gauge->Value(), 4);
+  EXPECT_EQ(gauge->Max(), 4);
+  EXPECT_NE(stats.config_summary.find("UoT=4-block(s)"), std::string::npos);
 }
 
 TEST(PerEdgeUotTest, BudgetStallsCountDeniedReleases) {

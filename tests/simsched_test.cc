@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "simsched/des_scheduler.h"
 
 namespace uot {
@@ -203,20 +201,11 @@ TEST(DesSchedulerTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.operators[1].avg_dop, b.operators[1].avg_dop);
 }
 
-/// A per-edge policy lets the simulator explore schedules a fixed UoT
-/// cannot express: a policy that narrows once the edge has buffered a few
-/// blocks still completes with the full work-order count.
-class NarrowAfterBufferPolicy final : public EdgeUotPolicy {
- public:
-  uint64_t BlocksPerTransfer(const EdgeRuntimeState& edge,
-                             UotAdaptCause*) override {
-    return edge.buffered_blocks >= 8 ? 1 : 4;
-  }
-  std::string ToString() const override { return "narrow-after-buffer"; }
-};
-
-TEST(DesSchedulerTest, DynamicPolicyStillConservesWork) {
-  SimOperator producer = LeafOp("select", 40, 1e6);
+/// A UoT between the spectrum's ends groups blocks into transfers; the
+/// final flush delivers the partial last group, so a block count that is
+/// not a multiple of the UoT still yields every consumer work order.
+TEST(DesSchedulerTest, GroupedUotConservesWork) {
+  SimOperator producer = LeafOp("select", 41, 1e6);
   SimOperator consumer;
   consumer.name = "probe";
   consumer.work_ns = 0.5e6;
@@ -224,9 +213,9 @@ TEST(DesSchedulerTest, DynamicPolicyStillConservesWork) {
   consumer.consumer_wo_per_block = 1.0;
   SimConfig config;
   config.num_workers = 4;
-  config.uot = UotPolicy::PerEdge(std::make_shared<NarrowAfterBufferPolicy>());
+  config.uot = UotPolicy::LowUot(4);
   const SimResult r = DesScheduler::Run({producer, consumer}, config);
-  EXPECT_EQ(r.operators[1].work_orders, 40u);
+  EXPECT_EQ(r.operators[1].work_orders, 41u);
   EXPECT_GT(r.makespan_ns, 0.0);
 }
 

@@ -75,10 +75,11 @@ inline ::testing::AssertionResult CanonicalRowsNear(
 /// Checks the exact transfer counts a fixed UoT implies for one run. On
 /// every non-fused edge all produced blocks are delivered, in
 /// ceil(blocks_produced / k) transfers, or in one transfer for a non-empty
-/// whole-table edge; a fused edge never transfers. `per_edge_k` holds each
-/// edge's blocks per transfer (UotPolicy::kWholeTable = whole table). The
-/// expectation follows the run's own produced-block count, so it holds
-/// however the workers interleave.
+/// whole-table edge, and the edge reports k as its UoT; a fused edge never
+/// transfers and reports none. `per_edge_k` holds each edge's blocks per
+/// transfer (UotPolicy::kWholeTable = whole table). The expectation follows
+/// the run's own produced-block count, so it holds however the workers
+/// interleave.
 inline ::testing::AssertionResult TransfersFollowUot(
     const ExecutionStats& stats, const std::vector<uint64_t>& per_edge_k) {
   if (stats.edges.size() != per_edge_k.size()) {
@@ -89,6 +90,13 @@ inline ::testing::AssertionResult TransfersFollowUot(
   for (size_t e = 0; e < stats.edges.size(); ++e) {
     const EdgeStats& edge = stats.edges[e];
     const uint64_t k = per_edge_k[e];
+    const uint64_t expected_uot = edge.fused ? 0 : k;
+    if (edge.final_uot_blocks != expected_uot) {
+      return ::testing::AssertionFailure()
+             << "edge " << e << (edge.fused ? " (fused)" : "")
+             << " reports UoT " << edge.final_uot_blocks << ", expected "
+             << expected_uot;
+    }
     uint64_t expected = 0;
     if (!edge.fused) {
       if (edge.blocks_delivered != edge.blocks_produced) {
