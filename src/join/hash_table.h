@@ -12,14 +12,25 @@
 
 namespace uot {
 
-/// Mixes a composite key (1 or 2 widened 64-bit words) into a hash.
+// GCC inlines HashJoinKey into callers that pass a 2-word array with a
+// runtime `words` and then warns about the `key[2]` read on the words == 3
+// path, which those callers never take.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
+/// Mixes a composite key (1-3 widened 64-bit words) into a hash. Join keys
+/// use 1 or 2 words, group-by keys up to 3, so both share this one hash.
 inline uint64_t HashJoinKey(const uint64_t* key, int words) {
   uint64_t h = key[0] + 0x9E3779B97F4A7C15ULL;
-  if (words == 2) h ^= key[1] * 0xC2B2AE3D27D4EB4FULL;
+  if (words >= 2) h ^= key[1] * 0xC2B2AE3D27D4EB4FULL;
+  if (words == 3) {
+    const uint64_t m = key[2] * 0x165667B19E3779F9ULL;
+    h ^= (m << 32) | (m >> 32);
+  }
   h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
   h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
   return h ^ (h >> 31);
 }
+#pragma GCC diagnostic pop
 
 /// One probe hit produced by JoinHashTable::ProbeBatch: the batch-relative
 /// row of the probe key and the matching entry's payload.

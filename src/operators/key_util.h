@@ -10,9 +10,10 @@
 
 namespace uot {
 
-/// Join/grouping keys are 1-2 columns widened to 64-bit words. Integral
-/// columns sign-extend; CHAR columns of width <= 8 pack their (space padded)
-/// bytes. Equality of widened words is equivalent to equality of values.
+/// Join keys (1-2 columns) and group keys (0-3) are widened to 64-bit
+/// words. Integral columns sign-extend; CHAR columns of width <= 8 pack
+/// their (space padded) bytes. Equality of widened words is equivalent to
+/// equality of values.
 inline uint64_t WidenKeyValue(const Type& type, const std::byte* value) {
   switch (type.id()) {
     case TypeId::kInt32:
@@ -76,13 +77,16 @@ inline void ExtractKey(const Block& block, const std::vector<int>& key_cols,
   }
 }
 
-/// Columnar batch form of ExtractKey: widens the composite keys of rows
-/// `[row_begin, row_begin + n)` into `out[i * words + k]` (row-major, one
-/// group of `key_cols.size()` words per row). The type dispatch and column
-/// base/stride are hoisted out of the row loop, so the inner loops are
-/// tight strided copies — the extract stage of the batched join kernels.
-inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
-                        uint32_t row_begin, uint32_t n, uint64_t* out) {
+namespace internal {
+
+/// Widens the composite keys of `n` rows into `out[i * words + k]`, where
+/// `row_of(i)` names the block row of batch row `i`. The type dispatch and
+/// column base/stride are hoisted out of the row loop, so the inner loops
+/// are tight strided copies.
+template <typename RowOf>
+inline void ExtractKeysImpl(const Block& block,
+                            const std::vector<int>& key_cols, uint32_t n,
+                            RowOf row_of, uint64_t* out) {
   const size_t words = key_cols.size();
   for (size_t k = 0; k < words; ++k) {
     const int col = key_cols[k];
@@ -94,7 +98,7 @@ inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
       case TypeId::kDate:
         for (uint32_t i = 0; i < n; ++i) {
           int32_t v;
-          std::memcpy(&v, access.at(row_begin + i), 4);
+          std::memcpy(&v, access.at(row_of(i)), 4);
           dst[static_cast<size_t>(i) * words] =
               static_cast<uint64_t>(static_cast<int64_t>(v));
         }
@@ -102,7 +106,7 @@ inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
       case TypeId::kInt64:
         for (uint32_t i = 0; i < n; ++i) {
           int64_t v;
-          std::memcpy(&v, access.at(row_begin + i), 8);
+          std::memcpy(&v, access.at(row_of(i)), 8);
           dst[static_cast<size_t>(i) * words] = static_cast<uint64_t>(v);
         }
         break;
@@ -111,7 +115,7 @@ inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
         const uint16_t w = type.width();
         for (uint32_t i = 0; i < n; ++i) {
           uint64_t v = 0;
-          std::memcpy(&v, access.at(row_begin + i), w);
+          std::memcpy(&v, access.at(row_of(i)), w);
           dst[static_cast<size_t>(i) * words] = v;
         }
         break;
@@ -120,6 +124,27 @@ inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
         UOT_CHECK(false);  // doubles are not key material
     }
   }
+}
+
+}  // namespace internal
+
+/// Columnar batch form of ExtractKey: widens the composite keys of rows
+/// `[row_begin, row_begin + n)` into `out[i * words + k]` (row-major, one
+/// group of `key_cols.size()` words per row) — the extract stage of the
+/// batched join kernels.
+inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
+                        uint32_t row_begin, uint32_t n, uint64_t* out) {
+  internal::ExtractKeysImpl(
+      block, key_cols, n, [row_begin](uint32_t i) { return row_begin + i; },
+      out);
+}
+
+/// Selection-vector form of ExtractKeys: widens the keys of rows
+/// `sel[0..n)` — the extract stage of the aggregation kernel.
+inline void ExtractKeys(const Block& block, const std::vector<int>& key_cols,
+                        const uint32_t* sel, uint32_t n, uint64_t* out) {
+  internal::ExtractKeysImpl(
+      block, key_cols, n, [sel](uint32_t i) { return sel[i]; }, out);
 }
 
 /// Columnar batch form of ExtractColumns: packs rows

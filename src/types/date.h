@@ -65,7 +65,8 @@ inline int32_t AddYears(int32_t date, int years) {
 inline std::string DateToString(int32_t date) {
   int y, m, d;
   CivilFromDays(date, &y, &m, &d);
-  char buf[16];
+  // Sized for three full-width ints so the format can never truncate.
+  char buf[40];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }
