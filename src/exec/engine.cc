@@ -206,10 +206,7 @@ void Engine::WorkerLoop(int worker_id) {
     std::optional<WorkItem> item = work_queue_.Pop();
     if (!item.has_value()) return;
     item->session->ExecuteWorkOrder(std::move(item->work_order), worker_id);
-    // Let the coordinator react (transfer blocks, release transients)
-    // before taking more work — important on machines with few cores,
-    // where a busy worker can otherwise starve the coordinator threads.
-    std::this_thread::yield();
+    // No yield here: the session's event-queue condvar wakes its coordinator.
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -226,21 +227,33 @@ TEST(EngineTest, ConcurrentSyntheticQueriesMatchSerial) {
   EXPECT_EQ(engine.queries_executed(), static_cast<uint64_t>(kQueries));
 }
 
-/// The headline stress test: several full TPC-H queries executing
-/// simultaneously on one shared engine return exactly the rows of their
-/// serial runs. Run under -fsanitize=thread in CI (see UOT_TSAN).
-TEST(EngineStressTest, ConcurrentTpchQueriesMatchSerial) {
+/// Each edge's blocks per transfer: its plan pin, else the session's UoT.
+std::vector<uint64_t> PerEdgeUot(const QueryPlan& plan,
+                                 const ExecConfig& config) {
+  std::vector<uint64_t> per_edge_k;
+  for (size_t e = 0; e < plan.streaming_edges().size(); ++e) {
+    per_edge_k.push_back(plan.edge_uot(static_cast<int>(e))
+                             .value_or(config.uot)
+                             .blocks_per_transfer());
+  }
+  return per_edge_k;
+}
+
+/// Runs each of `queries` serially, then all at once (one driving thread
+/// each), on one `num_workers` engine at a one-block UoT. Every concurrent
+/// result must equal its serial run byte for byte, and every run must make
+/// exactly the transfers its UoT implies. Nothing is timed.
+void ExpectConcurrentTpchMatchesSerial(const std::vector<int>& queries,
+                                       int num_workers) {
   StorageManager storage;
   TpchDatabase db(&storage);
   TpchConfig tpch_config;
   tpch_config.scale_factor = 0.004;
   db.Generate(tpch_config);
-
-  const std::vector<int> queries = {1, 3, 6, 10, 12, 14};
   TpchPlanConfig plan_config;
 
   EngineConfig engine_config;
-  engine_config.num_workers = 8;
+  engine_config.num_workers = num_workers;
   Engine engine(engine_config);
 
   ExecConfig config;
@@ -250,19 +263,22 @@ TEST(EngineStressTest, ConcurrentTpchQueriesMatchSerial) {
   std::map<int, std::string> expected;
   for (int query : queries) {
     auto plan = BuildTpchPlan(query, db, plan_config);
-    engine.Execute(plan.get(), config);
+    const ExecutionStats stats = engine.Execute(plan.get(), config);
+    EXPECT_TRUE(testing::TransfersFollowUot(stats, PerEdgeUot(*plan, config)))
+        << "Q" << query << " serial";
     expected[query] = CanonicalRows(*plan->result_table());
   }
 
   // All queries at once, each driven by its own thread.
   std::vector<std::unique_ptr<QueryPlan>> plans;
   for (int query : queries) plans.push_back(BuildTpchPlan(query, db, plan_config));
+  std::vector<ExecutionStats> stats(queries.size());
   StartGate gate(static_cast<int>(queries.size()));
   std::vector<std::thread> threads;
   for (size_t i = 0; i < queries.size(); ++i) {
     threads.emplace_back([&, i] {
       gate.ArriveAndWait();
-      engine.Execute(plans[i].get(), config);
+      stats[i] = engine.Execute(plans[i].get(), config);
     });
   }
   for (auto& t : threads) t.join();
@@ -271,7 +287,27 @@ TEST(EngineStressTest, ConcurrentTpchQueriesMatchSerial) {
     EXPECT_EQ(CanonicalRows(*plans[i]->result_table()),
               expected[queries[i]])
         << "Q" << queries[i] << " diverged under concurrency";
+    EXPECT_TRUE(
+        testing::TransfersFollowUot(stats[i], PerEdgeUot(*plans[i], config)))
+        << "Q" << queries[i] << " concurrent";
   }
+}
+
+/// The headline stress test: several full TPC-H queries executing
+/// simultaneously on one shared engine return exactly the rows of their
+/// serial runs. Run under -fsanitize=thread in CI (see UOT_TSAN).
+TEST(EngineStressTest, ConcurrentTpchQueriesMatchSerial) {
+  ExpectConcurrentTpchMatchesSerial({1, 3, 6, 10, 12, 14}, 8);
+}
+
+/// An oversubscribed pool: twice as many workers as cores (at most 16),
+/// all busy, beside four coordinator threads. Workers do not yield between
+/// work orders, so each coordinator relies on its event queue's wake-up
+/// alone to turn finished blocks into consumer work.
+TEST(EngineStressTest, OversubscribedPoolKeepsCoordinatorsProgressing) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  ExpectConcurrentTpchMatchesSerial({3, 5, 10, 18},
+                                    static_cast<int>(std::min(2 * hw, 16u)));
 }
 
 TEST(EngineTest, MaxInflightAdmissionSerializesQueries) {
