@@ -18,9 +18,6 @@ FusedChain::FusedChain(QueryPlan* plan, std::vector<int> ops)
       stage->select = select;
       stage->out_schema = &select->destination()->schema();
     } else if (auto* probe = dynamic_cast<ProbeHashOperator*>(op)) {
-      // Radix-partitioned probes are pipeline breakers; the fuser never
-      // admits them.
-      UOT_CHECK(probe->build()->radix_bits() == 0);
       stage->kind = StageKind::kProbe;
       stage->probe = probe;
       stage->out_schema = &probe->destination()->schema();

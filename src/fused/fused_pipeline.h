@@ -29,7 +29,7 @@ namespace fused {
 /// whole chain, carrying only a selection vector plus (after a projection
 /// or join widens rows) one cache-resident scratch granule per interior
 /// stage. Interior streaming edges transfer zero blocks; pipeline breakers
-/// (hash-table builds, exchanges, sorts) keep their vectorized edges.
+/// (hash-table builds, sorts) keep their vectorized edges.
 ///
 /// Every stage calls its operator's own kernel (SelectOperator::FilterRows,
 /// ProbeHashOperator::ProbeRows, AggregateOperator::Accumulate), the same

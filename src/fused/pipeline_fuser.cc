@@ -13,9 +13,8 @@ namespace {
 /// True when `op` may produce into a fused chain (its work is re-runnable
 /// per row group and its output can be skipped).
 bool IsFusableProducer(const Operator* op) {
-  if (dynamic_cast<const SelectOperator*>(op) != nullptr) return true;
-  const auto* probe = dynamic_cast<const ProbeHashOperator*>(op);
-  return probe != nullptr && probe->build()->radix_bits() == 0;
+  return dynamic_cast<const SelectOperator*>(op) != nullptr ||
+         dynamic_cast<const ProbeHashOperator*>(op) != nullptr;
 }
 
 /// True when `op` may consume inside a fused chain (interior or tail).
@@ -28,7 +27,6 @@ bool IsFusableConsumer(const Operator* op) {
 
 bool PipelineFuser::IsFusableEdge(const QueryPlan& plan,
                                   const QueryPlan::StreamingEdge& edge) {
-  if (edge.kind != QueryPlan::EdgeKind::kPipeline) return false;
   if (edge.consumer_input != 0) return false;
   if (!IsFusableProducer(plan.op(edge.producer))) return false;
   if (!IsFusableConsumer(plan.op(edge.consumer))) return false;

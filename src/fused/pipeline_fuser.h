@@ -13,21 +13,17 @@ namespace fused {
 /// edges can be collapsed into single fused work orders (ROADMAP item 3).
 ///
 /// A streaming edge producer → consumer is fusable when:
-///  - it is a plain pipeline edge into the consumer's only streaming input
-///    (exchange/repartition edges are pipeline breakers);
+///  - it is the consumer's only streaming input;
 ///  - the producer is a Select or ProbeHash operator whose only streaming
 ///    consumer is this edge (its output is read exactly once, so skipping
 ///    its materialization loses nothing);
 ///  - the producer's output is not the plan's result table (fused interior
 ///    outputs are never materialized);
-///  - the consumer is a Select, ProbeHash or Aggregate operator; and
-///  - every ProbeHash endpoint probes an unpartitioned build
-///    (radix-partitioned probes need partition-tagged exchange blocks —
-///    another pipeline breaker).
+///  - the consumer is a Select, ProbeHash or Aggregate operator.
 ///
-/// Build sides, exchanges and sorts therefore always stay on the
-/// vectorized path. The returned chains are disjoint, in pipeline order,
-/// and at least two operators long.
+/// Build sides and sorts therefore always stay on the vectorized path.
+/// The returned chains are disjoint, in pipeline order, and at least two
+/// operators long.
 class PipelineFuser {
  public:
   /// Maximal fusable chains of `plan`, each a producer→consumer operator

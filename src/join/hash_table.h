@@ -39,7 +39,7 @@ struct JoinMatch {
   const std::byte* payload;  // packed payload_schema tuple in the slot
 };
 
-/// A non-partitioned hash table for hash joins (paper Section III):
+/// The hash table for hash joins (paper Section III):
 /// one shared table built concurrently by all build work orders, probed
 /// read-only afterwards.
 ///

@@ -63,29 +63,6 @@ double CostModel::FusedChainCost(const std::vector<uint64_t>& edge_rows,
   return cost;
 }
 
-double CostModel::RepartitionExtraCost(uint64_t num_uots, double uot_bytes,
-                                       int partitions) const {
-  const double n = static_cast<double>(num_uots);
-  return n * (W_mem(uot_bytes) + AR_L3(uot_bytes)) +
-         n * static_cast<double>(partitions) * (M_L3() + IC());
-}
-
-double CostModel::PartitionedProbeSavings(uint64_t probe_rows,
-                                          double table_bytes,
-                                          double sub_table_bytes) const {
-  // Probability a random slot access misses L3 is the fraction of the
-  // table that cannot be resident: max(0, 1 - l3/size). The savings is the
-  // per-probe miss-probability drop times M_L3 over all probes.
-  const double miss_whole =
-      table_bytes <= p_.l3_bytes ? 0.0 : 1.0 - p_.l3_bytes / table_bytes;
-  const double miss_sub = sub_table_bytes <= p_.l3_bytes
-                              ? 0.0
-                              : 1.0 - p_.l3_bytes / sub_table_bytes;
-  const double saved = miss_whole - miss_sub;
-  if (saved <= 0.0) return 0.0;
-  return static_cast<double>(probe_rows) * saved * M_L3();
-}
-
 std::string CostModel::Describe() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),

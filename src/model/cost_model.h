@@ -132,25 +132,6 @@ class CostModel {
   double FusedChainCost(const std::vector<uint64_t>& edge_rows,
                         uint64_t row_group_rows) const;
 
-  // ---- radix-partitioned join extension (Section V/VI applied to an
-  // exchange edge) ----
-
-  /// Extra work a radix exchange adds over feeding the join directly:
-  /// every UoT is written once more (the repartitioned copy, W_mem) and
-  /// re-read by the partition consumer (AR_L3 — the copy is sequential per
-  /// partition), plus a per-partition stream-switch charge (M_L3 + IC) for
-  /// the scatter touching `partitions` output streams.
-  double RepartitionExtraCost(uint64_t num_uots, double uot_bytes,
-                              int partitions) const;
-
-  /// Work the partitioning saves on the probe side: with the whole table
-  /// resident beyond L3, the fraction of probes that miss pay M_L3 each;
-  /// sub-tables of `sub_table_bytes` keep (1 - sub/l3 overflow) of those
-  /// hits cache-resident. Returns saved ns for `probe_rows` probes against
-  /// a table of `table_bytes` vs. sub-tables of `sub_table_bytes`.
-  double PartitionedProbeSavings(uint64_t probe_rows, double table_bytes,
-                                 double sub_table_bytes) const;
-
   std::string Describe() const;
 
  private:

@@ -22,19 +22,8 @@ CostModelUotChooser::CostModelUotChooser(Options options)
   UOT_CHECK(options_.budget_cap_fraction > 0.0);
 }
 
-std::string RadixChoice::ToString() const {
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "radix_bits=%d (%s, table %.0f B, sub %.0f B, "
-                "repartition %.0f ns vs saved %.0f ns)",
-                radix_bits, reason, table_bytes, sub_table_bytes,
-                repartition_cost_ns, saved_cost_ns);
-  return buf;
-}
-
 UotChoice CostModelUotChooser::ChooseEdge(const EdgeEstimate& estimate,
-                                          size_t block_bytes,
-                                          bool exchange_edge) const {
+                                          size_t block_bytes) const {
   UOT_CHECK(block_bytes > 0);
   UotChoice choice;
 
@@ -85,12 +74,8 @@ UotChoice CostModelUotChooser::ChooseEdge(const EdgeEstimate& estimate,
   }
 
   // Whole-table competes only when its materialized footprint fits under
-  // the cap (Section VI is the constraint, Section V the objective) and
-  // the edge is not an exchange: materializing a repartition input stalls
-  // every partition consumer behind the producer's last block, the exact
-  // serial barrier the exchange edge exists to dissolve.
-  const bool whole_allowed =
-      !exchange_edge && (cap <= 0.0 || choice.materialized_bytes <= cap);
+  // the cap (Section VI is the constraint, Section V the objective).
+  const bool whole_allowed = cap <= 0.0 || choice.materialized_bytes <= cap;
   if (whole_allowed && choice.materializing_cost_ns < best_cost) {
     choice.uot = UotPolicy::HighUot();
     choice.uot_bytes = est_bytes;
@@ -108,61 +93,10 @@ UotChoice CostModelUotChooser::ChooseEdge(const EdgeEstimate& estimate,
   choice.predicted_transfers = (est_blocks + best_k - 1) / best_k;
   choice.predicted_footprint_bytes = static_cast<uint64_t>(
       std::min(choice.uot_bytes, std::max(0.0, est_bytes)));
-  if (exchange_edge && choice.materializing_cost_ns < best_cost) {
-    // Whole-table would have won on cost but is ineligible on an
-    // exchange edge.
-    choice.reason = "exchange";
-  } else {
-    choice.reason =
-        (capped || (!whole_allowed &&
-                    choice.materializing_cost_ns < best_cost))
-            ? "memory-cap"
-            : "cost-model";
-  }
-  return choice;
-}
-
-RadixChoice CostModelUotChooser::ChooseRadixBits(
-    const EdgeEstimate& build_estimate, const EdgeEstimate& probe_estimate,
-    size_t slot_bytes, double load_factor, int max_radix_bits) const {
-  UOT_CHECK(slot_bytes > 0);
-  UOT_CHECK(load_factor > 0.0 && load_factor <= 1.0);
-  UOT_CHECK(max_radix_bits >= 1 && max_radix_bits <= 16);
-  RadixChoice choice;
-  choice.table_bytes = static_cast<double>(build_estimate.rows) *
-                       static_cast<double>(slot_bytes) / load_factor;
-  choice.sub_table_bytes = choice.table_bytes;
-  const double l3 = model_.params().l3_bytes;
-  if (choice.table_bytes <= l3) {
-    choice.reason = "fits-l3";  // probes are already cache-resident
-    return choice;
-  }
-  // Smallest radix whose sub-tables fit L3 (deepest radix if none does —
-  // partial residency still beats none).
-  int bits = max_radix_bits;
-  for (int r = 1; r <= max_radix_bits; ++r) {
-    if (choice.table_bytes / static_cast<double>(1u << r) <= l3) {
-      bits = r;
-      break;
-    }
-  }
-  const double sub = choice.table_bytes / static_cast<double>(1u << bits);
-  // Repartitioning rewrites both inputs once, in ~64 KiB working granules.
-  const double granule = 64.0 * 1024.0;
-  const double total_bytes = build_estimate.bytes() + probe_estimate.bytes();
-  const uint64_t num_uots = static_cast<uint64_t>(
-      std::max(1.0, std::ceil(total_bytes / granule)));
-  choice.repartition_cost_ns =
-      model_.RepartitionExtraCost(num_uots, granule, 1 << bits);
-  choice.saved_cost_ns = model_.PartitionedProbeSavings(
-      probe_estimate.rows, choice.table_bytes, sub);
-  if (choice.repartition_cost_ns >= choice.saved_cost_ns) {
-    choice.reason = "small-build";  // the copy costs more than it saves
-    return choice;
-  }
-  choice.radix_bits = bits;
-  choice.sub_table_bytes = sub;
-  choice.reason = "partition";
+  choice.reason =
+      (capped || (!whole_allowed && choice.materializing_cost_ns < best_cost))
+          ? "memory-cap"
+          : "cost-model";
   return choice;
 }
 
@@ -194,10 +128,7 @@ FusedChoice CostModelUotChooser::ChooseFusedChain(
     const InsertDestination* dest = plan.destination_of(e.producer);
     const size_t block_bytes =
         dest != nullptr ? dest->output()->block_bytes() : (1u << 20);
-    choice.vectorized_cost_ns +=
-        ChooseEdge(est, block_bytes,
-                   e.kind == QueryPlan::EdgeKind::kExchange)
-            .chosen_cost_ns;
+    choice.vectorized_cost_ns += ChooseEdge(est, block_bytes).chosen_cost_ns;
     edge_rows.push_back(est.rows);
   }
   choice.fused_cost_ns = model_.FusedChainCost(edge_rows, row_group_rows);
@@ -220,9 +151,7 @@ std::vector<UotChoice> CostModelUotChooser::ChoosePlan(
     // table, e.g. hash-table builds) fall back to a 1 MiB granule.
     const size_t block_bytes =
         dest != nullptr ? dest->output()->block_bytes() : (1u << 20);
-    choices.push_back(
-        ChooseEdge(estimates[i], block_bytes,
-                   edges[i].kind == QueryPlan::EdgeKind::kExchange));
+    choices.push_back(ChooseEdge(estimates[i], block_bytes));
   }
   return choices;
 }

@@ -54,26 +54,6 @@ struct UotChoice {
   std::string ToString() const;
 };
 
-/// The chooser's verdict on how many radix bits a hash join should use
-/// (0 = unpartitioned): Section V's repartition cost against the probe
-/// cache-miss savings of L3-resident sub-tables (Section VI footprint
-/// reasoning applied to the hash table instead of the intermediate).
-struct RadixChoice {
-  int radix_bits = 0;
-  /// Modeled whole-table and per-partition sub-table sizes, bytes.
-  double table_bytes = 0.0;
-  double sub_table_bytes = 0.0;
-  /// Extra cost of repartitioning both join inputs, ns.
-  double repartition_cost_ns = 0.0;
-  /// Probe-side cache-miss cost the partitioning saves, ns.
-  double saved_cost_ns = 0.0;
-  /// "fits-l3" (table already cache-resident -> 0), "small-build"
-  /// (repartition costs more than it saves -> 0), or "partition".
-  const char* reason = "fits-l3";
-
-  std::string ToString() const;
-};
-
 /// The chooser's verdict on one fusable pipeline: fused tuple-at-a-time
 /// execution against the best vectorized per-edge UoT choices over the
 /// chain's interior edges.
@@ -122,24 +102,8 @@ class CostModelUotChooser {
   explicit CostModelUotChooser(Options options);
 
   /// The cost-model choice for one edge whose producer emits `estimate`
-  /// into blocks of `block_bytes`. `exchange_edge` marks an exchange/
-  /// repartition edge: whole-table is excluded there — materializing an
-  /// exchange input recreates the serial repartition barrier the exchange
-  /// exists to avoid (the partition consumers would sit idle until the
-  /// producer finished), so only finite UoT values compete.
-  UotChoice ChooseEdge(const EdgeEstimate& estimate, size_t block_bytes,
-                       bool exchange_edge = false) const;
-
-  /// Radix bits for a hash join whose build side emits `build_estimate`
-  /// and whose probe side emits `probe_estimate`: 0 when the whole table
-  /// fits L3 or when the repartition work (both inputs rewritten once)
-  /// exceeds the modeled probe-miss savings; otherwise the smallest radix
-  /// in [1, max_radix_bits] whose sub-tables fit L3. `slot_bytes` is the
-  /// hash table's per-entry slot cost (key words + payload + tag).
-  RadixChoice ChooseRadixBits(const EdgeEstimate& build_estimate,
-                              const EdgeEstimate& probe_estimate,
-                              size_t slot_bytes, double load_factor = 0.75,
-                              int max_radix_bits = 6) const;
+  /// into blocks of `block_bytes`.
+  UotChoice ChooseEdge(const EdgeEstimate& estimate, size_t block_bytes) const;
 
   /// Whether chain `chain_ops` (a fusable pipeline of `plan`, in pipeline
   /// order — e.g. one of PipelineFuser::DetectFusablePipelines) should

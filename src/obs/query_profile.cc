@@ -171,7 +171,6 @@ QueryProfile QueryProfile::FromRun(const QueryPlan* plan,
         static_cast<size_t>(es.consumer) < stats.operators.size()) {
       edge.consumer_name = stats.operators[static_cast<size_t>(es.consumer)].name;
     }
-    edge.exchange = es.exchange;
     edge.fused = es.fused;
     edge.transfers = es.transfers;
     edge.blocks_produced = es.blocks_produced;
@@ -240,7 +239,7 @@ std::string QueryProfile::ToString() const {
                   "  %s[%d] op%d -> op%d: uot=%s, transfers=%" PRIu64
                   ", delivered %s in %" PRIu64
                   " blocks, footprint peak %s",
-                  e.fused ? "fused" : e.exchange ? "xchg" : "edge",
+                  e.fused ? "fused" : "edge",
                   e.edge, e.producer,
                   e.consumer, FormatUot(e.final_uot_blocks).c_str(),
                   e.transfers, FormatBytes(e.bytes_delivered).c_str(),
@@ -278,25 +277,6 @@ std::string QueryProfile::ToString() const {
                     " rows out\n",
                     s.op, s.name.c_str(), s.kind.c_str(), s.rows_in,
                     s.rows_out);
-      out += buf;
-    }
-  }
-  for (const ExchangeStats& x : stats_.exchanges) {
-    std::snprintf(buf, sizeof(buf),
-                  "  exchange op[%d] %s: radix_bits=%d, %zu partitions, "
-                  "%" PRIu64 " rows, skew %.2fx\n",
-                  x.op, x.name.c_str(), x.radix_bits,
-                  x.partition_rows.size(), x.TotalRows(), x.SkewRatio());
-    out += buf;
-    for (size_t p = 0; p < x.partition_rows.size(); ++p) {
-      const uint64_t blocks =
-          p < x.partition_blocks.size() ? x.partition_blocks[p] : 0;
-      // One consumer work order per completed block, so `blocks` is also
-      // the partition's downstream work-order count.
-      std::snprintf(buf, sizeof(buf),
-                    "    part[%zu]: %" PRIu64 " rows, %" PRIu64
-                    " blocks/work orders\n",
-                    p, x.partition_rows[p], blocks);
       out += buf;
     }
   }
@@ -391,14 +371,9 @@ std::string QueryProfile::ToJson() const {
     AppendField(&out, "consumer", e.consumer, &first);
     AppendFieldS(&out, "producer_name", e.producer_name, &first);
     AppendFieldS(&out, "consumer_name", e.consumer_name, &first);
-    // "kind" is emitted only for exchange edges: profiles of
-    // exchange-free plans stay byte-identical to pre-exchange builds,
-    // and the validator treats the key as optional.
-    if (e.fused) {
-      AppendFieldS(&out, "kind", "fused", &first);
-    } else if (e.exchange) {
-      AppendFieldS(&out, "kind", "exchange", &first);
-    }
+    // "kind" is emitted only for fused edges; the validator treats the
+    // key as optional.
+    if (e.fused) AppendFieldS(&out, "kind", "fused", &first);
     AppendField(&out, "uot_blocks", JsonUot(e.final_uot_blocks), &first);
     AppendFieldU(&out, "transfers", e.transfers, &first);
     AppendFieldU(&out, "blocks_produced", e.blocks_produced, &first);
@@ -454,37 +429,6 @@ std::string QueryProfile::ToJson() const {
         AppendFieldU(&out, "rows_in", st.rows_in, &sf);
         AppendFieldU(&out, "rows_out", st.rows_out, &sf);
         out += '}';
-      }
-      out += "]}";
-    }
-    out += "\n  ]";
-  }
-  // Optional section (absent when the plan has no exchange operators, so
-  // pre-exchange profile documents and consumers are unaffected).
-  if (!stats_.exchanges.empty()) {
-    out += ",\n  \"exchanges\": [";
-    for (size_t i = 0; i < stats_.exchanges.size(); ++i) {
-      const ExchangeStats& x = stats_.exchanges[i];
-      out += i == 0 ? "\n    {" : ",\n    {";
-      bool first = true;
-      AppendField(&out, "op", x.op, &first);
-      AppendFieldS(&out, "name", x.name, &first);
-      AppendField(&out, "radix_bits", x.radix_bits, &first);
-      AppendFieldU(&out, "total_rows", x.TotalRows(), &first);
-      AppendFieldD(&out, "skew", x.SkewRatio(), &first);
-      out += ", \"partition_rows\": [";
-      for (size_t p = 0; p < x.partition_rows.size(); ++p) {
-        if (p > 0) out += ", ";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, x.partition_rows[p]);
-        out += buf;
-      }
-      out += "], \"partition_blocks\": [";
-      for (size_t p = 0; p < x.partition_blocks.size(); ++p) {
-        if (p > 0) out += ", ";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, x.partition_blocks[p]);
-        out += buf;
       }
       out += "]}";
     }
@@ -640,16 +584,14 @@ Status ParseQueryProfileJson(std::string_view json,
           "max_buffered_bytes"}) {
       UOT_RETURN_IF_ERROR(RequireNumber(edge, key, "edge"));
     }
-    // Optional edge kind tag (absent in pre-exchange documents, which
-    // therefore keep validating; present = "exchange"|"pipeline"|"fused").
+    // Optional edge kind tag (absent on plain pipeline edges; present =
+    // "pipeline"|"fused").
     const JsonValue* kind = edge.Find("kind");
     if (kind != nullptr) {
-      if (!kind->is_string() || (kind->AsString() != "exchange" &&
-                                 kind->AsString() != "pipeline" &&
+      if (!kind->is_string() || (kind->AsString() != "pipeline" &&
                                  kind->AsString() != "fused")) {
-        return ProfileError("edge \"kind\" must be exchange|pipeline|fused");
+        return ProfileError("edge \"kind\" must be pipeline|fused");
       }
-      if (kind->AsString() == "exchange") ++summary->num_exchange_edges;
       if (kind->AsString() == "fused") ++summary->num_fused_edges;
     }
     const JsonValue* prediction = edge.Find("prediction");
@@ -713,37 +655,6 @@ Status ParseQueryProfileJson(std::string_view json,
       }
     }
     summary->num_fused_chains = fused->AsArray().size();
-  }
-
-  // Optional "exchanges" section: per-operator partition histograms.
-  // Absent in pre-exchange documents; validated when present.
-  const JsonValue* exchanges = root.Find("exchanges");
-  if (exchanges != nullptr) {
-    if (!exchanges->is_array()) {
-      return ProfileError("\"exchanges\" is not an array");
-    }
-    for (const JsonValue& x : exchanges->AsArray()) {
-      if (!x.is_object()) {
-        return ProfileError("exchange entry is not an object");
-      }
-      for (const char* key : {"op", "radix_bits", "total_rows"}) {
-        UOT_RETURN_IF_ERROR(RequireNumber(x, key, "exchange"));
-      }
-      for (const char* key : {"partition_rows", "partition_blocks"}) {
-        const JsonValue* arr = x.Find(key);
-        if (arr == nullptr || !arr->is_array()) {
-          return ProfileError(std::string("exchange entry missing \"") + key +
-                              "\" array");
-        }
-        for (const JsonValue& v : arr->AsArray()) {
-          if (!v.is_number()) {
-            return ProfileError(std::string("exchange \"") + key +
-                                "\" holds a non-number");
-          }
-        }
-      }
-    }
-    summary->num_exchanges = exchanges->AsArray().size();
   }
 
   const JsonValue* memory = root.Find("memory");

@@ -34,10 +34,6 @@ class QueryProfile {
     int consumer = -1;
     std::string producer_name;
     std::string consumer_name;
-    /// True for exchange/repartition edges: rendered with a distinct tag
-    /// and a "kind" key in JSON (absent for pipeline edges, so profiles
-    /// of exchange-free plans are byte-identical to pre-exchange ones).
-    bool exchange = false;
     /// True when the edge was interior to a fused pipeline this run: no
     /// blocks crossed it, so its transfer counters are structurally zero.
     /// Tagged "kind": "fused" in JSON (absent otherwise, keeping
@@ -150,9 +146,7 @@ struct QueryProfileSummary {
   size_t num_operators = 0;
   size_t num_edges = 0;
   size_t num_predicted_edges = 0;  // edges carrying prediction+residuals
-  size_t num_exchange_edges = 0;   // edges tagged "kind": "exchange"
   size_t num_fused_edges = 0;      // edges tagged "kind": "fused"
-  size_t num_exchanges = 0;        // entries of the "exchanges" section
   size_t num_fused_chains = 0;     // entries of the "fused_pipelines" section
   size_t num_budget_events = 0;
   bool profiled = false;

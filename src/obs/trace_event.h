@@ -57,8 +57,6 @@ enum class JoinBatchStage : uint8_t {
   kResidual = 2,  // residual-condition filtering of candidate matches
   kEmit = 3,      // output row assembly and append
   kInsert = 4,    // hash + prefetch + slot claim (build side)
-  kPartition = 5, // hash + radix partition-id assignment (exchange)
-  kScatter = 6,   // per-partition row scatter/append (exchange)
 };
 
 /// Stage name for kJoinBatchStage args ("extract", "probe", ...).

@@ -54,8 +54,6 @@ const char* JoinBatchStageName(int32_t stage) {
     case JoinBatchStage::kResidual: return "residual";
     case JoinBatchStage::kEmit: return "emit";
     case JoinBatchStage::kInsert: return "insert";
-    case JoinBatchStage::kPartition: return "partition";
-    case JoinBatchStage::kScatter: return "scatter";
   }
   return "unknown";
 }

@@ -11,19 +11,17 @@ BuildHashOperator::BuildHashOperator(std::string name,
                                      std::vector<int> key_cols,
                                      std::vector<int> payload_cols,
                                      double load_factor,
-                                     MemoryTracker* tracker, int radix_bits)
+                                     MemoryTracker* tracker)
     : Operator(std::move(name)),
       key_cols_(std::move(key_cols)),
       payload_cols_(std::move(payload_cols)),
       load_factor_(load_factor),
-      tracker_(tracker),
-      radix_bits_(radix_bits) {
+      tracker_(tracker) {
   UOT_CHECK(key_cols_.size() == 1 || key_cols_.size() == 2);
-  UOT_CHECK(radix_bits_ >= 0 && radix_bits_ <= kMaxRadixBits);
 }
 
 void BuildHashOperator::InitHashTable(const Schema& input_schema) {
-  if (tables_ != nullptr) return;
+  if (table_ != nullptr) return;
   Schema payload;
   if (input_schema.num_columns() > 0) {
     for (int c : key_cols_) {
@@ -31,19 +29,9 @@ void BuildHashOperator::InitHashTable(const Schema& input_schema) {
     }
     payload = SubSchema(input_schema, payload_cols_);
   }  // else: empty input — probes will see an empty table
-  tables_ = std::make_unique<PartitionedJoinHashTable>(
+  table_ = std::make_unique<JoinHashTable>(
       std::move(payload), static_cast<int>(key_cols_.size()), load_factor_,
-      radix_bits_, tracker_);
-}
-
-const JoinHashTable* BuildHashOperator::table_for_block(
-    const Block* block) const {
-  if (tables_ == nullptr) return nullptr;
-  if (radix_bits_ == 0) return tables_->sub_table(0);
-  const int32_t p = block->partition();
-  UOT_CHECK(p >= 0 &&
-            static_cast<uint32_t>(p) < tables_->num_partitions());
-  return tables_->sub_table(static_cast<uint32_t>(p));
+      tracker_);
 }
 
 void BuildHashOperator::ReceiveInputBlocks(int input_index,
@@ -68,37 +56,19 @@ bool BuildHashOperator::GenerateWorkOrders(
   if (!generated_) {
     buffered_ = input_.TakePending();
     if (!buffered_.empty()) InitHashTable(buffered_.front()->schema());
-    if (tables_ == nullptr) {
+    if (table_ == nullptr) {
       // Empty input: create a minimal table so probes see an empty table.
       InitHashTable(Schema(std::vector<Column>{}));
     }
-    // Presize each sub-table exactly: one partition gets the whole input;
-    // at radix > 0 the exchange's partition tags give per-partition counts.
-    const uint32_t parts = tables_->num_partitions();
-    std::vector<uint64_t> counts(parts, 0);
-    if (parts == 1) {
-      counts[0] = input_.total_rows();
-    } else {
-      for (const Block* block : buffered_) {
-        const int32_t p = block->partition();
-        UOT_CHECK(p >= 0 && static_cast<uint32_t>(p) < parts);
-        counts[static_cast<size_t>(p)] += block->num_rows();
-      }
-    }
-    tables_->ReservePartitions(counts);
+    table_->Reserve(input_.total_rows());
     if (lip_bits_per_entry_ > 0) {
-      // One filter spans all partitions (inserts are atomic fetch_or, so
-      // concurrent per-partition builds share it safely).
+      // Inserts are atomic fetch_or, so concurrent builds share the filter.
       lip_filter_ = std::make_unique<LipFilter>(input_.total_rows(),
                                                 lip_bits_per_entry_);
     }
     for (Block* block : buffered_) {
-      JoinHashTable* table =
-          parts == 1 ? tables_->sub_table(0)
-                     : tables_->sub_table(
-                           static_cast<uint32_t>(block->partition()));
       auto wo = std::make_unique<BuildHashWorkOrder>(
-          block, &key_cols_, &payload_cols_, table, lip_filter_.get(),
+          block, &key_cols_, &payload_cols_, table_.get(), lip_filter_.get(),
           &exec_ctx_);
       if (!input_.from_base_table()) wo->consumed_blocks.push_back(block);
       out->push_back(std::move(wo));

@@ -6,31 +6,23 @@
 
 #include "join/hash_table.h"
 #include "join/lip_filter.h"
-#include "join/partitioned_hash_table.h"
 #include "operators/operator.h"
 
 namespace uot {
 
-/// Builds the join hash table (paper Section III): one shared table at
-/// `radix_bits == 0`, or `2^radix_bits` disjoint partition sub-tables when
-/// the build input arrives through an exchange edge (blocks tagged with
-/// their partition). Partitioned builds insert into per-partition tables
-/// with no shared cache lines, and each probe touches only its block's
-/// sub-table.
+/// Builds the join hash table (paper Section III): one table shared by
+/// every build and probe work order.
 ///
-/// The table is presized from the input cardinality (per partition, when
-/// partitioned — the exchange tags make exact counts available), so work
-/// orders are generated once the input is complete (for base-table inputs
-/// that is immediately); the builds themselves then run in parallel, one
-/// work order per input block.
+/// The table is presized from the input cardinality, so work orders are
+/// generated once the input is complete (for base-table inputs that is
+/// immediately); the builds themselves then run in parallel, one work
+/// order per input block.
 class BuildHashOperator final : public Operator {
  public:
   /// `key_cols`/`payload_cols` index the build input's schema.
-  /// `radix_bits > 0` requires the input blocks to carry partition tags
-  /// (i.e. to come through an ExchangeOperator keyed on the same columns).
   BuildHashOperator(std::string name, std::vector<int> key_cols,
                     std::vector<int> payload_cols, double load_factor,
-                    MemoryTracker* tracker, int radix_bits = 0);
+                    MemoryTracker* tracker);
 
   /// Binds the input to a materialized base table (instead of a stream).
   void AttachBaseTable(const Table* table) { input_.AttachTable(table); }
@@ -45,27 +37,10 @@ class BuildHashOperator final : public Operator {
   bool GenerateWorkOrders(
       std::vector<std::unique_ptr<WorkOrder>>* out) override;
 
-  /// The partition-0 sub-table — at radix_bits 0 (one partition) this IS
-  /// the whole table, preserving the pre-partitioning interface; callers
-  /// that only need the payload schema may use it at any radix.
-  JoinHashTable* hash_table() {
-    return tables_ != nullptr ? tables_->sub_table(0) : nullptr;
-  }
-  const JoinHashTable* hash_table() const {
-    return tables_ != nullptr ? tables_->sub_table(0) : nullptr;
-  }
+  /// The hash table (nullptr before InitHashTable).
+  JoinHashTable* hash_table() { return table_.get(); }
+  const JoinHashTable* hash_table() const { return table_.get(); }
 
-  /// All partition sub-tables (nullptr before InitHashTable).
-  const PartitionedJoinHashTable* partitioned_table() const {
-    return tables_.get();
-  }
-
-  /// The sub-table `block`'s rows belong to: the whole table at radix 0,
-  /// otherwise the sub-table of the block's partition tag (the block must
-  /// be tagged — partitioned builds/probes require exchanged input).
-  const JoinHashTable* table_for_block(const Block* block) const;
-
-  int radix_bits() const { return radix_bits_; }
   const std::vector<int>& key_cols() const { return key_cols_; }
 
   /// Also populate a LIP Bloom filter over the (mixed) join keys, for
@@ -89,18 +64,17 @@ class BuildHashOperator final : public Operator {
   const std::vector<int> payload_cols_;
   const double load_factor_;
   MemoryTracker* const tracker_;
-  const int radix_bits_;
 
   StreamingInput input_;
   std::vector<Block*> buffered_;
-  std::unique_ptr<PartitionedJoinHashTable> tables_;
+  std::unique_ptr<JoinHashTable> table_;
   int lip_bits_per_entry_ = 0;  // 0 = LIP disabled
   std::unique_ptr<LipFilter> lip_filter_;
   bool generated_ = false;
   OperatorExecContext exec_ctx_;  // defaults until the scheduler binds one
 };
 
-/// Inserts one block's rows into its hash (sub-)table through the batched
+/// Inserts one block's rows into the hash table through the batched
 /// extract -> hash+prefetch -> insert pipeline.
 class BuildHashWorkOrder final : public WorkOrder {
  public:

@@ -12,7 +12,7 @@ class TraceSession;
 enum class JoinBatchStage : uint8_t;
 }  // namespace obs
 
-/// Knobs of the batched join kernels (build, probe, exchange), wired
+/// Knobs of the batched join kernels (build, probe), wired
 /// through ExecConfig::join. Each kernel extracts a batch of keys
 /// columnar, hashes them all and software-prefetches home slots ahead of
 /// resolution (group prefetching, cf. the paper's Table VI experiment).

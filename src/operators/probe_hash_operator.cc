@@ -38,12 +38,7 @@ bool ProbeHashOperator::GenerateWorkOrders(
     std::vector<std::unique_ptr<WorkOrder>>* out) {
   UOT_CHECK(build_->hash_table() != nullptr);  // blocking edge: build done
   for (Block* block : input_.TakePending()) {
-    // The whole table at radix 0; the block's partition sub-table when the
-    // build is partitioned (probe input then comes through an exchange
-    // keyed like the build, so each block's matches are all in one
-    // sub-table). The probe kernel itself is partition-oblivious.
-    const JoinHashTable* table = build_->table_for_block(block);
-    auto wo = std::make_unique<ProbeHashWorkOrder>(block, table, this);
+    auto wo = std::make_unique<ProbeHashWorkOrder>(block, this);
     if (!input_.from_base_table()) wo->consumed_blocks.push_back(block);
     out->push_back(std::move(wo));
   }
@@ -146,9 +141,9 @@ void ProbeHashOperator::CountBatches(uint64_t batches,
 void ProbeHashWorkOrder::Execute() {
   ProbeHashOperator::ProbeScratch scratch;
   InsertDestination::Writer writer(op_->destination());
-  op_->ProbeRows(*block_, *hash_table_, 0, block_->num_rows(),
-                 1 + static_cast<uint32_t>(worker_id), operator_index,
-                 &scratch,
+  op_->ProbeRows(*block_, *op_->build()->hash_table(), 0,
+                 block_->num_rows(), 1 + static_cast<uint32_t>(worker_id),
+                 operator_index, &scratch,
                  [&writer](const std::byte* row) { writer.AppendRow(row); });
 }
 

@@ -176,19 +176,17 @@ void ProbeHashOperator::ProbeRows(const Block& block,
   CountBatches(batches, prefetches);
 }
 
-/// Probes one block against its hash (sub-)table through the operator's
+/// Probes one block against the build's hash table through the operator's
 /// kernel, appending output rows to the operator's destination.
 class ProbeHashWorkOrder final : public WorkOrder {
  public:
-  ProbeHashWorkOrder(const Block* block, const JoinHashTable* hash_table,
-                     const ProbeHashOperator* op)
-      : block_(block), hash_table_(hash_table), op_(op) {}
+  ProbeHashWorkOrder(const Block* block, const ProbeHashOperator* op)
+      : block_(block), op_(op) {}
 
   void Execute() override;
 
  private:
   const Block* const block_;
-  const JoinHashTable* const hash_table_;
   const ProbeHashOperator* const op_;
 };
 

@@ -9,7 +9,6 @@
 
 #include "operators/aggregate_operator.h"
 #include "operators/build_hash_operator.h"
-#include "operators/exchange_operator.h"
 #include "operators/probe_hash_operator.h"
 #include "operators/select_operator.h"
 #include "operators/sort_operator.h"
@@ -31,12 +30,6 @@ struct PlanBuilderConfig {
   /// technique (Section VI-C). Results are unchanged; intermediates
   /// shrink.
   bool use_lip = false;
-  /// Radix-partition every hash join: when > 0, Build() and Probe() wrap
-  /// their inputs in an ExchangeOperator keyed on the join keys, splitting
-  /// each join into 2^join_radix_bits independent partition sub-joins
-  /// (ROADMAP item 2). 0 (the default) keeps the single shared-table
-  /// shape. Results are byte-identical either way.
-  int join_radix_bits = 0;
 };
 
 /// Wires operators, temp tables, destinations and edges so per-query plan
@@ -86,56 +79,18 @@ class PlanBuilder {
     return Src{idx, out, out};
   }
 
-  /// Hash-repartitions `in` into 2^radix_bits partitions keyed on
-  /// `key_cols` — the explicit exchange/repartition edge. The returned Src
-  /// carries the same schema (rows pass through unchanged, tagged by
-  /// partition); feeding it to Build/Probe keyed on the same columns makes
-  /// the join run per partition.
-  Src Exchange(const std::string& name, const Src& in,
-               std::vector<int> key_cols, int radix_bits) {
-    Table* out = plan_->CreateTempTable(name + ".out", SchemaOf(in),
-                                        config_.temp_layout,
-                                        config_.block_bytes);
-    const uint32_t parts = NumPartitions(radix_bits);
-    std::vector<InsertDestination*> dests;
-    dests.reserve(parts);
-    for (uint32_t p = 0; p < parts; ++p) {
-      InsertDestination* d = plan_->CreateDestination(out);
-      d->set_partition(static_cast<int32_t>(p));
-      dests.push_back(d);
-    }
-    auto op = std::make_unique<ExchangeOperator>(name, std::move(key_cols),
-                                                 radix_bits, dests);
-    ExchangeOperator* raw = op.get();
-    const int idx = plan_->AddOperator(std::move(op));
-    for (InsertDestination* d : dests) plan_->RegisterOutput(idx, d);
-    Attach(in, idx, [raw](const Table* t) { raw->AttachBaseTable(t); });
-    return Src{idx, out, out};
-  }
-
   /// Returns the build operator (probe operators reference it).
-  /// `radix_bits` -1 defers to config_.join_radix_bits; > 0 wraps the
-  /// input in an Exchange keyed on `key_cols` (unless `in` already is an
-  /// exchange, whose radix then wins) and builds per-partition sub-tables.
   BuildHashOperator* Build(const std::string& name, const Src& in,
                            std::vector<int> key_cols,
-                           std::vector<int> payload_cols,
-                           int radix_bits = -1) {
-    if (radix_bits < 0) radix_bits = config_.join_radix_bits;
-    Src input = in;
-    if (IsExchange(in.op)) {
-      radix_bits = ExchangeRadixBits(in.op);
-    } else if (radix_bits > 0) {
-      input = Exchange(name + ".xchg", in, key_cols, radix_bits);
-    }
+                           std::vector<int> payload_cols) {
     auto op = std::make_unique<BuildHashOperator>(
         name, std::move(key_cols), std::move(payload_cols),
-        config_.load_factor, &storage_->tracker(), radix_bits);
+        config_.load_factor, &storage_->tracker());
     BuildHashOperator* raw = op.get();
-    raw->InitHashTable(SchemaOf(input));
+    raw->InitHashTable(SchemaOf(in));
     const int idx = plan_->AddOperator(std::move(op));
     build_index_[raw] = idx;
-    Attach(input, idx, [raw](const Table* t) { raw->AttachBaseTable(t); });
+    Attach(in, idx, [raw](const Table* t) { raw->AttachBaseTable(t); });
     return raw;
   }
 
@@ -143,18 +98,11 @@ class PlanBuilder {
             std::vector<int> key_cols, std::vector<int> out_cols,
             JoinKind kind = JoinKind::kInner,
             std::vector<ResidualCondition> residuals = {}) {
-    // A partitioned build needs a matching partitioned probe input: wrap
-    // it in an exchange keyed on the probe keys at the build's radix (the
-    // same hash routes matching keys of both sides to the same partition).
-    Src input = in;
-    if (build->radix_bits() > 0 && !IsExchange(in.op)) {
-      input = Exchange(name + ".xchg", in, key_cols, build->radix_bits());
-    }
     std::vector<int> payload_cols;
     const Schema& payload = build->hash_table()->payload_schema();
     for (int c = 0; c < payload.num_columns(); ++c) payload_cols.push_back(c);
     Schema out_schema = ProbeHashOperator::OutputSchema(
-        SchemaOf(input), out_cols, payload, payload_cols, kind);
+        SchemaOf(in), out_cols, payload, payload_cols, kind);
     Table* out =
         plan_->CreateTempTable(name + ".out", std::move(out_schema),
                                config_.temp_layout, config_.block_bytes);
@@ -166,7 +114,7 @@ class PlanBuilder {
     const int idx = plan_->AddOperator(std::move(op));
     plan_->RegisterOutput(idx, dest);
     plan_->AddBlockingEdge(build_index_.at(build), idx);
-    Attach(input, idx, [raw](const Table* t) { raw->AttachBaseTable(t); });
+    Attach(in, idx, [raw](const Table* t) { raw->AttachBaseTable(t); });
     return Src{idx, out, out};
   }
 
@@ -253,23 +201,8 @@ class PlanBuilder {
     if (in.op < 0) {
       attach_base(in.table);
     } else {
-      // Edges out of an exchange operator carry the repartition tag so
-      // policies and profiles can treat them differently from pipeline
-      // edges.
-      plan_->AddStreamingEdge(in.op, consumer, 0,
-                              IsExchange(in.op)
-                                  ? QueryPlan::EdgeKind::kExchange
-                                  : QueryPlan::EdgeKind::kPipeline);
+      plan_->AddStreamingEdge(in.op, consumer);
     }
-  }
-
-  bool IsExchange(int op) const {
-    return op >= 0 &&
-           dynamic_cast<const ExchangeOperator*>(plan_->op(op)) != nullptr;
-  }
-
-  int ExchangeRadixBits(int op) const {
-    return dynamic_cast<const ExchangeOperator*>(plan_->op(op))->radix_bits();
   }
 
   StorageManager* const storage_;

@@ -8,12 +8,12 @@ int QueryPlan::AddOperator(std::unique_ptr<Operator> op) {
 }
 
 void QueryPlan::AddStreamingEdge(int producer, int consumer,
-                                 int consumer_input, EdgeKind kind) {
+                                 int consumer_input) {
   UOT_CHECK(producer >= 0 && producer < num_operators());
   UOT_CHECK(consumer >= 0 && consumer < num_operators());
   UOT_CHECK(producer != consumer);
   streaming_edges_.push_back(
-      StreamingEdge{producer, consumer, consumer_input, 0, kind});
+      StreamingEdge{producer, consumer, consumer_input, 0});
 }
 
 void QueryPlan::AddBlockingEdge(int producer, int consumer) {
@@ -39,6 +39,7 @@ InsertDestination* QueryPlan::CreateDestination(Table* table) {
 
 void QueryPlan::RegisterOutput(int producer, InsertDestination* destination) {
   UOT_CHECK(producer >= 0 && producer < num_operators());
+  UOT_CHECK(destination_of(producer) == nullptr);  // one output per producer
   for (OwnedDestination& d : destinations_) {
     if (d.destination.get() == destination) {
       d.producer = producer;
@@ -111,17 +112,9 @@ std::string QueryPlan::ToString() const {
   }
   for (size_t i = 0; i < streaming_edges_.size(); ++i) {
     const StreamingEdge& e = streaming_edges_[i];
-    const bool exchange = e.kind == EdgeKind::kExchange;
-    out += std::string(exchange ? "  xchg[" : "  stream[") +
-           std::to_string(i) + "] " + std::to_string(e.producer) + " -> " +
-           std::to_string(e.consumer) + " (input " +
-           std::to_string(e.consumer_input) + ")";
-    if (exchange) {
-      const size_t parts = destinations_of(e.producer).size();
-      if (parts > 1) {
-        out += " [partitions=" + std::to_string(parts) + "]";
-      }
-    }
+    out += "  stream[" + std::to_string(i) + "] " +
+           std::to_string(e.producer) + " -> " + std::to_string(e.consumer) +
+           " (input " + std::to_string(e.consumer_input) + ")";
     if (e.uot_blocks != 0) {
       out += " [" + UotPolicy(e.uot_blocks).ToString() + "]";
     }
@@ -147,15 +140,6 @@ InsertDestination* QueryPlan::destination_of(int producer) const {
     if (d.producer == producer) return d.destination.get();
   }
   return nullptr;
-}
-
-std::vector<InsertDestination*> QueryPlan::destinations_of(
-    int producer) const {
-  std::vector<InsertDestination*> out;
-  for (const OwnedDestination& d : destinations_) {
-    if (d.producer == producer) out.push_back(d.destination.get());
-  }
-  return out;
 }
 
 }  // namespace uot

@@ -30,20 +30,6 @@ class QueryPlan {
   explicit QueryPlan(StorageManager* storage) : storage_(storage) {}
   UOT_DISALLOW_COPY_AND_ASSIGN(QueryPlan);
 
-  /// What a streaming edge carries (the Theseus lesson: data movement
-  /// between partitions is a first-class cost, distinct from pipeline
-  /// flow):
-  ///  - kPipeline: the producer's output stream in input order;
-  ///  - kExchange: a hash-repartitioned stream — the producer is an
-  ///    ExchangeOperator and every block is tagged with its partition, so
-  ///    the consumer fans work out per partition. Exchange edges sit on the
-  ///    same UoT spectrum but their policy trade-off differs (a whole-table
-  ///    UoT here re-creates the serial repartition barrier).
-  enum class EdgeKind : uint8_t {
-    kPipeline = 0,
-    kExchange = 1,
-  };
-
   struct StreamingEdge {
     int producer;
     int consumer;
@@ -52,7 +38,6 @@ class QueryPlan {
     /// (UotPolicy::kWholeTable = materialize). 0 = unannotated: the edge
     /// follows ExecConfig::uot. An annotation pins the edge for the run.
     uint64_t uot_blocks = 0;
-    EdgeKind kind = EdgeKind::kPipeline;
   };
   struct BlockingEdge {
     int producer;
@@ -87,14 +72,7 @@ class QueryPlan {
 
   /// Declares that `producer`'s completed output blocks stream to
   /// `consumer` (input slot `consumer_input`), subject to the UoT policy.
-  void AddStreamingEdge(int producer, int consumer, int consumer_input = 0,
-                        EdgeKind kind = EdgeKind::kPipeline);
-
-  /// Declares an exchange (repartition) edge: `producer` must be an
-  /// ExchangeOperator whose completed blocks carry partition tags.
-  void AddExchangeEdge(int producer, int consumer, int consumer_input = 0) {
-    AddStreamingEdge(producer, consumer, consumer_input, EdgeKind::kExchange);
-  }
+  void AddStreamingEdge(int producer, int consumer, int consumer_input = 0);
 
   /// Declares that `consumer` may not generate work orders until
   /// `producer` has finished.
@@ -111,7 +89,7 @@ class QueryPlan {
   InsertDestination* CreateDestination(Table* table);
 
   /// Declares `destination` (from CreateDestination) as `producer`'s
-  /// output.
+  /// output. A producer has at most one destination.
   void RegisterOutput(int producer, InsertDestination* destination);
 
   void SetResultTable(Table* table) { result_table_ = table; }
@@ -169,14 +147,8 @@ class QueryPlan {
   /// and blocking edges.
   std::string ToString() const;
 
-  /// The destination registered for `producer`, or nullptr. Operators with
-  /// several destinations (exchange: one per partition) return the first;
-  /// use destinations_of when every sink matters.
+  /// The destination registered for `producer`, or nullptr.
   InsertDestination* destination_of(int producer) const;
-
-  /// Every destination registered for `producer`, in registration order
-  /// (partition order for exchange operators). Empty if none.
-  std::vector<InsertDestination*> destinations_of(int producer) const;
 
   StorageManager* storage() const { return storage_; }
 

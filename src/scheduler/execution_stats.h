@@ -1,7 +1,6 @@
 #ifndef UOT_SCHEDULER_EXECUTION_STATS_H_
 #define UOT_SCHEDULER_EXECUTION_STATS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,8 +64,6 @@ struct EdgeStats {
   /// The edge's UoT: its plan pin, else ExecConfig::uot
   /// (UotPolicy::kWholeTable for materializing edges, 0 for fused edges).
   uint64_t final_uot_blocks = 0;
-  /// True for exchange/repartition edges (QueryPlan::EdgeKind::kExchange).
-  bool exchange = false;
   /// True when the edge was interior to a fused pipeline this run: rows
   /// walked the chain inside single work orders, so the zero transfer /
   /// zero block counts above are real, not an unexercised edge.
@@ -89,35 +86,6 @@ struct FusedChainStats {
   std::vector<int> ops;
   uint64_t work_orders = 0;
   std::vector<FusedStageStats> stages;
-};
-
-/// Per-partition outcome of one exchange operator: how evenly the radix
-/// partitioning spread the rows (the skew signal behind the
-/// exchange.op.*.partition.* gauges).
-struct ExchangeStats {
-  int op = -1;
-  std::string name;
-  int radix_bits = 0;
-  std::vector<uint64_t> partition_rows;
-  std::vector<uint64_t> partition_blocks;
-
-  uint64_t TotalRows() const {
-    uint64_t total = 0;
-    for (uint64_t r : partition_rows) total += r;
-    return total;
-  }
-  /// max(partition rows) / mean(partition rows); 1.0 = perfectly even,
-  /// num_partitions = everything in one partition. 0 when no rows flowed.
-  double SkewRatio() const {
-    if (partition_rows.empty()) return 0.0;
-    const uint64_t total = TotalRows();
-    if (total == 0) return 0.0;
-    uint64_t max_rows = 0;
-    for (uint64_t r : partition_rows) max_rows = std::max(max_rows, r);
-    const double mean = static_cast<double>(total) /
-                        static_cast<double>(partition_rows.size());
-    return static_cast<double>(max_rows) / mean;
-  }
 };
 
 /// One memory-budget deferral or release, with the tracked bytes that
@@ -146,9 +114,6 @@ struct ExecutionStats {
   /// Measured per-edge detail (transfers, payload bytes, buffered
   /// high-water marks), one entry per streaming edge.
   std::vector<EdgeStats> edges;
-  /// Per-partition row/block counts of every exchange operator in the
-  /// plan, in operator order; empty when the plan has no exchanges.
-  std::vector<ExchangeStats> exchanges;
   /// Every fused pipeline the session executed (empty under
   /// PipelineMode::kVectorized or when no chain was fusable).
   std::vector<FusedChainStats> fused_chains;

@@ -1,11 +1,8 @@
 #include "scheduler/query_session.h"
 
-#include <algorithm>
-
 #include "fused/pipeline_fuser.h"
 #include "obs/metrics.h"
 #include "obs/trace_session.h"
-#include "operators/exchange_operator.h"
 #include "util/timer.h"
 
 namespace uot {
@@ -169,12 +166,9 @@ ExecutionStats QuerySession::Run() {
     }
   }
 
-  // Completed producer blocks surface as kBlockReady events. An exchange
-  // operator has one destination per partition, all writing one output
-  // table — the callback goes on every destination so every partition's
-  // blocks flow through the same edge accounting.
+  // Completed producer blocks surface as kBlockReady events.
   for (int i = 0; i < n; ++i) {
-    for (InsertDestination* dest : plan_->destinations_of(i)) {
+    if (InsertDestination* dest = plan_->destination_of(i)) {
       dest->set_on_block_ready([this, i](Block* block) {
         event_queue_.Push(Event{Event::Kind::kBlockReady, i, block, {}, {}});
       });
@@ -238,7 +232,6 @@ ExecutionStats QuerySession::Run() {
     edge_stats.max_buffered_bytes = state.max_buffered_bytes;
     edge_stats.max_buffered_blocks = state.max_buffered_blocks;
     edge_stats.final_uot_blocks = state.uot_blocks;
-    edge_stats.exchange = plan_edges[e].kind == QueryPlan::EdgeKind::kExchange;
     edge_stats.fused = fused_edge_[e];
     stats_.edges.push_back(edge_stats);
   }
@@ -257,20 +250,6 @@ ExecutionStats QuerySession::Run() {
       cs.stages.push_back(std::move(stage));
     }
     stats_.fused_chains.push_back(std::move(cs));
-  }
-  stats_.exchanges.clear();
-  for (int i = 0; i < n; ++i) {
-    const auto* exchange = dynamic_cast<const ExchangeOperator*>(plan_->op(i));
-    if (exchange == nullptr) continue;
-    ExchangeStats xs;
-    xs.op = i;
-    xs.name = exchange->name();
-    xs.radix_bits = exchange->radix_bits();
-    for (uint32_t p = 0; p < exchange->num_partitions(); ++p) {
-      xs.partition_rows.push_back(exchange->partition_rows(p));
-      xs.partition_blocks.push_back(exchange->partition_blocks(p));
-    }
-    stats_.exchanges.push_back(std::move(xs));
   }
   return std::move(stats_);
 }
@@ -617,33 +596,6 @@ void QuerySession::HandleOperatorFlushed(int op) {
   state.finishing = false;
   if (trace_ != nullptr) {
     trace_->EmitInstant(obs::TraceEventType::kOperatorFinish, /*tid=*/0, op);
-  }
-  // A finished exchange knows its final per-partition row spread: publish
-  // the skew gauges (rows per partition, plus max/mean x100 as a single
-  // imbalance number) while the session is still hot.
-  if (metrics_ != nullptr) {
-    if (const auto* exchange =
-            dynamic_cast<const ExchangeOperator*>(plan_->op(op))) {
-      const std::string prefix =
-          MetricName("exchange.op.") + std::to_string(op);
-      uint64_t total = 0;
-      uint64_t max_rows = 0;
-      for (uint32_t p = 0; p < exchange->num_partitions(); ++p) {
-        const uint64_t rows = exchange->partition_rows(p);
-        total += rows;
-        max_rows = std::max(max_rows, rows);
-        metrics_
-            ->GetGauge(prefix + ".partition." + std::to_string(p) + ".rows")
-            ->Set(static_cast<int64_t>(rows));
-      }
-      if (total > 0) {
-        const double mean = static_cast<double>(total) /
-                            static_cast<double>(exchange->num_partitions());
-        metrics_->GetGauge(prefix + ".skew_x100")
-            ->Set(static_cast<int64_t>(100.0 *
-                                       static_cast<double>(max_rows) / mean));
-      }
-    }
   }
   const auto& edges = plan_->streaming_edges();
   for (size_t i = 0; i < edges.size(); ++i) {

@@ -22,10 +22,10 @@ class TraceSession;
 ///  - kFused: select→probe(×N)→aggregate/project chains collapse into a
 ///    single work order per input morsel that walks rows through the whole
 ///    chain with zero intermediate block materialization (the far-low end
-///    of the spectrum). Pipeline-breaking edges (build sides, exchange,
-///    sort) stay vectorized; chains come from QueryPlan fused-pipeline
-///    annotations or, when the plan carries none, from the PipelineFuser
-///    pass at session start. Results are byte-identical to kVectorized.
+///    of the spectrum). Pipeline-breaking edges (build sides, sorts) stay
+///    vectorized; chains come from QueryPlan fused-pipeline annotations
+///    or, when the plan carries none, from the PipelineFuser pass at
+///    session start. Results are byte-identical to kVectorized.
 enum class PipelineMode : uint8_t {
   kVectorized = 0,
   kFused = 1,

@@ -73,12 +73,6 @@ std::vector<EdgeEstimate> EstimatesFromRun(const QueryPlan& plan,
   return out;
 }
 
-/// Per-slot bytes handed to ChooseRadixBits for ad-hoc joins: two key
-/// words plus the payload row (the PartitionedJoinHashTable slot layout).
-size_t SlotBytes(double payload_row_bytes) {
-  return 16 + static_cast<size_t>(payload_row_bytes);
-}
-
 }  // namespace
 
 FrontEnd::FrontEnd(FrontEndConfig config, const Catalog* catalog)
@@ -246,8 +240,7 @@ Response FrontEnd::Handle(const Request& request) {
 template <typename CompileFn>
 Response FrontEnd::ExecuteWithCache(const std::string& key,
                                     const std::vector<std::string>& tables,
-                                    bool has_join, CompileFn&& compile,
-                                    const SelectStatement* stmt,
+                                    CompileFn&& compile,
                                     const std::string& tenant,
                                     PipelineMode mode) {
   const std::string fingerprint =
@@ -270,28 +263,8 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
       break;
   }
 
-  // Radix bits shape the plan (exchange edges), so they are decided before
-  // compilation: the cached verdict on a hit, a fresh ChooseRadixBits
-  // model evaluation on a missed ad-hoc join.
-  int radix_bits = config_.plan.join_radix_bits;
-  if (hit) {
-    radix_bits = entry.radix_bits;
-  } else if (has_join && stmt != nullptr) {
-    EdgeEstimate build_est, probe_est;
-    const Status status = compiler_.JoinEstimates(*stmt, &build_est,
-                                                  &probe_est);
-    if (!status.ok()) return ErrorResponse(status);
-    radix_bits = chooser_
-                     .ChooseRadixBits(build_est, probe_est,
-                                      SlotBytes(build_est.row_bytes),
-                                      config_.plan.load_factor,
-                                      config_.max_radix_bits)
-                     .radix_bits;
-    model_evaluations_counter_->Increment();
-  }
-
   std::unique_ptr<QueryPlan> plan;
-  const Status compile_status = compile(radix_bits, &plan);
+  const Status compile_status = compile(&plan);
   if (!compile_status.ok()) return ErrorResponse(compile_status);
 
   if (hit) {
@@ -327,7 +300,6 @@ Response FrontEnd::ExecuteWithCache(const std::string& key,
                                                                  stats);
     if (estimates.size() == plan->streaming_edges().size()) {
       entry.fingerprint = fingerprint;
-      entry.radix_bits = radix_bits;
       entry.choices = chooser_.ChoosePlan(*plan, estimates);
       model_evaluations_counter_->Increment();
       plan_cache_.Insert(cache_key, entry);
@@ -350,12 +322,11 @@ Response FrontEnd::ExecuteSelect(const SelectStatement& stmt,
                                  const std::string& tenant,
                                  PipelineMode mode) {
   return ExecuteWithCache(
-      stmt.TemplateKey(), stmt.Tables(), stmt.has_join,
-      [this, &stmt, &params](int radix_bits,
-                             std::unique_ptr<QueryPlan>* plan) {
-        return compiler_.Compile(stmt, params, radix_bits, plan);
+      stmt.TemplateKey(), stmt.Tables(),
+      [this, &stmt, &params](std::unique_ptr<QueryPlan>* plan) {
+        return compiler_.Compile(stmt, params, 0, plan);
       },
-      &stmt, tenant, mode);
+      tenant, mode);
 }
 
 Response FrontEnd::ExecuteTpch(int query, const std::string& tenant,
@@ -365,14 +336,11 @@ Response FrontEnd::ExecuteTpch(int query, const std::string& tenant,
       "tpch:" + std::to_string(query),
       {"lineitem", "orders", "customer", "part", "supplier", "partsupp",
        "nation", "region"},
-      /*has_join=*/false,
-      [this, db, query](int radix_bits, std::unique_ptr<QueryPlan>* plan) {
-        TpchPlanConfig plan_config = config_.plan;
-        plan_config.join_radix_bits = radix_bits;
-        *plan = BuildTpchPlan(query, *db, plan_config);
+      [this, db, query](std::unique_ptr<QueryPlan>* plan) {
+        *plan = BuildTpchPlan(query, *db, config_.plan);
         return Status::OK();
       },
-      /*stmt=*/nullptr, tenant, mode);
+      tenant, mode);
 }
 
 Response FrontEnd::Stats() const {
@@ -430,7 +398,6 @@ std::string FrontEnd::KnobFingerprint(PipelineMode pipeline_mode) const {
          ";batch=" + std::to_string(config_.join.batch_size) +
          ";prefetch=" + std::to_string(config_.join.prefetch_distance) +
          ";block=" + std::to_string(config_.plan.block_bytes) +
-         ";radix=" + std::to_string(config_.plan.join_radix_bits) +
          ";lip=" + std::to_string(config_.plan.use_lip ? 1 : 0) +
          ";budget=" + std::to_string(config_.engine.memory_budget_bytes) +
          ";chooser_budget=" +

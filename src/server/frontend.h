@@ -47,8 +47,6 @@ struct FrontEndConfig {
   /// when absent.
   std::vector<TenantClass> tenants;
   size_t plan_cache_capacity = 128;
-  /// Upper bound handed to ChooseRadixBits for ad-hoc joins.
-  int max_radix_bits = 6;
 };
 
 struct Request {
@@ -102,15 +100,15 @@ class FrontEnd {
   Engine* engine() { return engine_.get(); }
   obs::MetricsRegistry* metrics() { return &metrics_; }
   PlanCache* plan_cache() { return &plan_cache_; }
-  /// Cost-model evaluations performed (ChoosePlan + ChooseRadixBits
-  /// calls). Flat across repeat queries of one template — the cache's
-  /// whole point; tests and STATS read it to verify.
+  /// Cost-model evaluations performed (ChoosePlan calls). Flat across
+  /// repeat queries of one template — the cache's whole point; tests and
+  /// STATS read it to verify.
   uint64_t model_evaluations() const {
     return model_evaluations_counter_->Value();
   }
 
   /// The knob component of the cache fingerprint (join kernel, block size,
-  /// radix config, budgets, pipeline mode). Every knob that shapes the
+  /// LIP, budgets, pipeline mode). Every knob that shapes the
   /// plan or its annotations must be in here — an unfingerprinted knob
   /// silently serves stale plans after the knob changes. Public so tests
   /// can assert that knob changes produce distinct fingerprints and
@@ -130,15 +128,14 @@ class FrontEnd {
   Response ExecuteTpch(int query, const std::string& tenant,
                        PipelineMode mode);
   /// The cached-annotation execution path shared by SELECT and TPCH:
-  /// look up `key`, compile via `compile(radix_bits)`, annotate on hit,
+  /// look up `key`, compile via `compile(&plan)`, annotate on hit,
   /// execute under `tenant`'s class in pipeline mode `mode`, choose+insert
   /// on miss.
   template <typename CompileFn>
   Response ExecuteWithCache(const std::string& key,
                             const std::vector<std::string>& tables,
-                            bool has_join, CompileFn&& compile,
-                            const SelectStatement* stmt,
-                            const std::string& tenant, PipelineMode mode);
+                            CompileFn&& compile, const std::string& tenant,
+                            PipelineMode mode);
   Response Stats() const;
 
   Status AcquireTenant(const std::string& tenant, TenantState** state);

@@ -19,15 +19,10 @@ namespace server {
 /// re-applies the choices without evaluating the model.
 struct PlanCacheEntry {
   /// The world the choices were made in: table cardinalities + the exec
-  /// knobs that shape plans or costs (join kernel, radix config, block
-  /// size, budget). A lookup whose fingerprint differs invalidates the
-  /// entry — cardinality or knob drift means the model must re-choose.
+  /// knobs that shape plans or costs (join kernel, block size, budget). A
+  /// lookup whose fingerprint differs invalidates the entry — cardinality
+  /// or knob drift means the model must re-choose.
   std::string fingerprint;
-  /// ChooseRadixBits verdict for the plan's join (0 = unpartitioned; also
-  /// 0 for joinless plans). Part of the entry because radix changes the
-  /// plan's exchange-edge shape, so UoT choices only map onto a plan
-  /// compiled at the same radix.
-  int radix_bits = 0;
   /// ChoosePlan verdict per streaming edge, in plan edge order.
   std::vector<UotChoice> choices;
 };

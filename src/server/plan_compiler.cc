@@ -161,8 +161,11 @@ std::string AggName(const SqlSelectItem& item, size_t index) {
 
 Status PlanCompiler::Compile(const SelectStatement& stmt,
                              const std::vector<SqlValue>& params,
-                             int radix_bits,
+                             int reserved,
                              std::unique_ptr<QueryPlan>* out) const {
+  if (reserved != 0) {
+    return Status::InvalidArgument("Compile: third argument must be 0");
+  }
   const Table* left = catalog_->Find(stmt.table);
   if (left == nullptr) {
     return Status::NotFound("unknown table '" + stmt.table + "'");
@@ -225,7 +228,7 @@ Status PlanCompiler::Compile(const SelectStatement& stmt,
         Projection::Identity(right->schema(), AllColumns(right->schema())));
     BuildHashOperator* build =
         pb.Build("build_" + stmt.join.table, build_in, {on_right.index},
-                 AllColumns(right->schema()), radix_bits);
+                 AllColumns(right->schema()));
     current = pb.Probe("probe_" + stmt.table, probe_in, build,
                        {on_left.index}, AllColumns(left->schema()));
     // Probe output: the probe side's columns first, then the build payload.
@@ -316,24 +319,6 @@ Status PlanCompiler::Compile(const SelectStatement& stmt,
   }
 
   *out = pb.Finish(current);
-  return Status::OK();
-}
-
-Status PlanCompiler::JoinEstimates(const SelectStatement& stmt,
-                                   EdgeEstimate* build,
-                                   EdgeEstimate* probe) const {
-  if (!stmt.has_join) {
-    return Status::InvalidArgument("statement has no join");
-  }
-  const Table* left = catalog_->Find(stmt.table);
-  const Table* right = catalog_->Find(stmt.join.table);
-  if (left == nullptr || right == nullptr) {
-    return Status::NotFound("unknown table in join");
-  }
-  build->rows = right->NumRows();
-  build->row_bytes = right->schema().row_width();
-  probe->rows = left->NumRows();
-  probe->row_bytes = left->schema().row_width();
   return Status::OK();
 }
 

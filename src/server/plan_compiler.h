@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "model/uot_chooser.h"
 #include "plan/plan_builder.h"
 #include "server/catalog.h"
 #include "server/sql_parser.h"
@@ -20,7 +19,7 @@ namespace server {
 ///
 /// Plan shape (the left-deep form every existing substrate uses):
 ///   Select(from-table)
-///     [-> Exchange/Build(join-table) + Probe]       when joined
+///     [-> Build(join-table) + Probe]                when joined
 ///     -> Aggregate                                  when aggregated
 ///     [-> projection-only Select]                   bare columns post-join
 class PlanCompiler {
@@ -29,17 +28,11 @@ class PlanCompiler {
       : catalog_(catalog), config_(config) {}
 
   /// Builds the plan. `params` supplies values for `?` placeholders in
-  /// statement order; `radix_bits` partitions the join (0 = shared table,
-  /// ignored without a join). On error `*out` is untouched.
+  /// statement order. `reserved` must be 0; any other value is rejected
+  /// with InvalidArgument. On error `*out` is untouched.
   Status Compile(const SelectStatement& stmt,
-                 const std::vector<SqlValue>& params, int radix_bits,
+                 const std::vector<SqlValue>& params, int reserved,
                  std::unique_ptr<QueryPlan>* out) const;
-
-  /// Base-table cardinality estimates of the join's build (join-table) and
-  /// probe (from-table) inputs, for CostModelUotChooser::ChooseRadixBits.
-  /// Fails unless the statement has a join.
-  Status JoinEstimates(const SelectStatement& stmt, EdgeEstimate* build,
-                       EdgeEstimate* probe) const;
 
   const PlanBuilderConfig& config() const { return config_; }
 

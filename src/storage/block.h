@@ -58,13 +58,6 @@ class Block {
   bool Full() const { return num_rows_ == capacity_rows_; }
   bool Empty() const { return num_rows_ == 0; }
 
-  /// Hash-partition this block's rows belong to, tagged by the exchange
-  /// operator's per-partition insert destination (-1 = unpartitioned).
-  /// Every row of a tagged block is in the same partition, so partition-
-  /// aware consumers route whole blocks to the right hash sub-table.
-  int32_t partition() const { return partition_; }
-  void set_partition(int32_t partition) { partition_ = partition; }
-
   /// Bytes of backing storage (the configured block size rounded down to a
   /// whole number of tuples).
   size_t allocated_bytes() const { return allocated_bytes_; }
@@ -100,7 +93,6 @@ class Block {
   const Layout layout_;
   uint32_t capacity_rows_;
   uint32_t num_rows_ = 0;
-  int32_t partition_ = -1;
   size_t allocated_bytes_;
   std::unique_ptr<std::byte[]> data_;
   // Byte offset where each column's array starts (column store only).

@@ -32,7 +32,6 @@ void InsertDestination::Writer::AppendRow(const std::byte* packed_row) {
 }
 
 void InsertDestination::CompleteBlock(Block* block) {
-  block->set_partition(partition_);
   output_->AddBlock(block);
   blocks_completed_.fetch_add(1, std::memory_order_relaxed);
   if (on_block_ready_) on_block_ready_(block);

@@ -33,13 +33,6 @@ class InsertDestination {
   const Schema& schema() const { return output_->schema(); }
   Table* output() const { return output_; }
 
-  /// Declares this destination the sink of one hash partition: every block
-  /// it completes is tagged with `partition` so partition-aware consumers
-  /// (partitioned build/probe) can route it. Call before execution starts.
-  /// -1 (the default) leaves blocks untagged.
-  void set_partition(int32_t partition) { partition_ = partition; }
-  int32_t partition() const { return partition_; }
-
   /// Installs/replaces the block-ready listener; must be called before
   /// execution starts (not thread-safe against concurrent writers).
   void set_on_block_ready(BlockReadyCallback cb) {
@@ -79,7 +72,6 @@ class InsertDestination {
   Table* const output_;
   BlockPool pool_;
   BlockReadyCallback on_block_ready_;
-  int32_t partition_ = -1;
   std::atomic<uint64_t> blocks_completed_{0};
 };
 

@@ -177,23 +177,6 @@ TEST(PipelineFuserTest, DetectsSelectProbeAggregateChain) {
   EXPECT_FALSE(fused::PipelineFuser::IsFusableChain(*plan, {chains[0][0]}));
 }
 
-TEST(PipelineFuserTest, RadixPartitionedProbesAreNotFusable) {
-  // Radix-partitioned joins interpose exchange operators; exchange edges
-  // are pipeline breakers, so no chain may contain a probe.
-  StorageManager storage;
-  RandomJoinQuery query(&storage, 3);
-  std::unique_ptr<QueryPlan> plan = query.MakePlan(&storage, 2);
-  const std::vector<std::vector<int>> chains =
-      fused::PipelineFuser::DetectFusablePipelines(*plan);
-  for (const std::vector<int>& chain : chains) {
-    for (int op : chain) {
-      EXPECT_EQ(dynamic_cast<const ProbeHashOperator*>(plan->op(op)), nullptr)
-          << "radix-partitioned probe " << plan->op(op)->name()
-          << " must not fuse";
-    }
-  }
-}
-
 TEST(PipelineFuserTest, AnnotationShowsInPlanToString) {
   StorageManager storage;
   std::unique_ptr<Table> probe = MakeKvTable(&storage, "probe", 1000, 16);
@@ -468,30 +451,17 @@ TEST(FusedFuzzTest, SeededRandomPlansAreByteIdenticalToVectorized) {
     RandomJoinQuery query(&storage, static_cast<uint64_t>(seed));
     SCOPED_TRACE(query.Description());
 
-    std::unique_ptr<QueryPlan> vec_plan = query.MakePlan(&storage, 0);
+    std::unique_ptr<QueryPlan> vec_plan = query.MakePlan(&storage);
     QueryExecutor::Execute(vec_plan.get(),
                            ModeConfig(PipelineMode::kVectorized));
     const std::string expected = CanonicalRows(*vec_plan->result_table());
 
-    std::unique_ptr<QueryPlan> fused_plan = query.MakePlan(&storage, 0);
+    std::unique_ptr<QueryPlan> fused_plan = query.MakePlan(&storage);
     const ExecutionStats fused_stats = QueryExecutor::Execute(
         fused_plan.get(), ModeConfig(PipelineMode::kFused));
     CheckFusedInvariants(*fused_plan, fused_stats, query.Description());
     if (!fused_stats.fused_chains.empty()) ++seeds_with_chain;
     EXPECT_EQ(CanonicalRows(*fused_plan->result_table()), expected);
-
-    // Every fifth seed also re-runs radix-partitioned under kFused: the
-    // mode must degrade gracefully to vectorized around exchanges.
-    if (seed % 5 == 0) {
-      const int radix_bits = 1 + seed % 6;
-      std::unique_ptr<QueryPlan> radix_plan =
-          query.MakePlan(&storage, radix_bits);
-      const ExecutionStats radix_stats = QueryExecutor::Execute(
-          radix_plan.get(), ModeConfig(PipelineMode::kFused));
-      CheckFusedInvariants(*radix_plan, radix_stats, "radix fused");
-      EXPECT_EQ(CanonicalRows(*radix_plan->result_table()), expected)
-          << "radix=" << radix_bits;
-    }
   }
   // Most fuzz plans contain at least one select -> probe chain.
   EXPECT_GT(seeds_with_chain, static_cast<size_t>(num_seeds) / 2);
@@ -545,7 +515,7 @@ TEST(FusedEngineTest, ConcurrentFusedAndVectorizedSessionsShareOnePool) {
     queries.push_back(std::make_unique<RandomJoinQuery>(
         storages.back().get(), static_cast<uint64_t>(100 + i)));
     std::unique_ptr<QueryPlan> plan =
-        queries.back()->MakePlan(storages.back().get(), 0);
+        queries.back()->MakePlan(storages.back().get());
     QueryExecutor::Execute(plan.get(),
                            ModeConfig(PipelineMode::kVectorized));
     expected[static_cast<size_t>(i)] = CanonicalRows(*plan->result_table());
@@ -560,7 +530,7 @@ TEST(FusedEngineTest, ConcurrentFusedAndVectorizedSessionsShareOnePool) {
   for (int i = 0; i < kQueries; ++i) {
     threads.emplace_back([&, i] {
       std::unique_ptr<QueryPlan> plan = queries[static_cast<size_t>(i)]
-          ->MakePlan(storages[static_cast<size_t>(i)].get(), 0);
+          ->MakePlan(storages[static_cast<size_t>(i)].get());
       const PipelineMode mode =
           i % 2 == 0 ? PipelineMode::kFused : PipelineMode::kVectorized;
       engine.Execute(plan.get(), ModeConfig(mode));

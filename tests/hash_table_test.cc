@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "join/hash_table.h"
-#include "join/partition_kernel.h"
-#include "join/partitioned_hash_table.h"
 #include "model/memory_model.h"
 #include "operators/exec_context.h"
 #include "util/memory_tracker.h"
@@ -156,13 +154,12 @@ TEST(JoinHashTableTest, ConcurrentBuildFindsAllEntries) {
 }
 
 /// The concurrent build as the engine runs it: several work orders call
-/// InsertBatch on one shared table (or on the sub-table of each row's
-/// partition) at the same time. The entry count is added once per batch,
-/// so size() must still equal every row inserted once the threads have
-/// joined, and every key must probe back with its full multiplicity.
-/// Covers batches on both sides of kMinRowsForPrefetch (prefetch off and
-/// on), duplicate keys inserted from different threads, 1- and 2-word keys,
-/// and the partitioned table's total at radix 0 and 3.
+/// InsertBatch on one shared table at the same time. The entry count is
+/// added once per batch, so size() must still equal every row inserted
+/// once the threads have joined, and every key must probe back with its
+/// full multiplicity. Covers batches on both sides of kMinRowsForPrefetch
+/// (prefetch off and on), duplicate keys inserted from different threads,
+/// and 1- and 2-word keys.
 TEST(JoinHashTableTest, ConcurrentInsertBatchCountsEveryRow) {
   constexpr int kThreads = 4;
   constexpr uint32_t kRowsPerThread = 3000;
@@ -181,85 +178,51 @@ TEST(JoinHashTableTest, ConcurrentInsertBatchCountsEveryRow) {
       const int32_t v = static_cast<int32_t>(r);
       std::memcpy(payloads.data() + static_cast<size_t>(r) * 4, &v, 4);
     }
-    for (const int radix_bits : {0, 3}) {
-      for (const uint32_t batch : {1u, kMin - 1, kMin, 257u}) {
-        MemoryTracker tracker;
-        PartitionedJoinHashTable tables(PayloadSchema(), words, 0.75,
-                                        radix_bits, &tracker);
-        const uint32_t parts = tables.num_partitions();
-        std::vector<uint32_t> part_of(kRows);
-        std::vector<uint64_t> counts(parts, 0);
-        for (uint32_t r = 0; r < kRows; ++r) {
-          part_of[r] = PartitionOfKey(&keys[static_cast<size_t>(r) * words],
-                                      words, radix_bits);
-          ++counts[part_of[r]];
-        }
-        tables.ReservePartitions(counts);
+    for (const uint32_t batch : {1u, kMin - 1, kMin, 257u}) {
+      MemoryTracker tracker;
+      JoinHashTable table(PayloadSchema(), words, 0.75, &tracker);
+      table.Reserve(kRows);
 
-        std::vector<std::thread> threads;
-        for (int t = 0; t < kThreads; ++t) {
-          threads.emplace_back([&, t] {
-            // Like an exchange-fed build work order: this thread's rows,
-            // grouped by partition, inserted batch by batch.
-            std::vector<uint64_t> hashes;
-            for (uint32_t p = 0; p < parts; ++p) {
-              std::vector<uint64_t> part_keys;
-              std::vector<std::byte> part_payloads;
-              for (uint32_t r = t * kRowsPerThread;
-                   r < (t + 1) * kRowsPerThread; ++r) {
-                if (part_of[r] != p) continue;
-                const uint64_t* key = &keys[static_cast<size_t>(r) * words];
-                part_keys.insert(part_keys.end(), key, key + words);
-                const std::byte* payload =
-                    payloads.data() + static_cast<size_t>(r) * 4;
-                part_payloads.insert(part_payloads.end(), payload,
-                                     payload + 4);
-              }
-              const uint32_t n =
-                  static_cast<uint32_t>(part_keys.size() / words);
-              for (uint32_t base = 0; base < n; base += batch) {
-                tables.sub_table(p)->InsertBatch(
-                    part_keys.data() + static_cast<size_t>(base) * words,
-                    part_payloads.data() + static_cast<size_t>(base) * 4,
-                    std::min(batch, n - base), /*prefetch_distance=*/8,
-                    &hashes);
-              }
-            }
-          });
-        }
-        for (auto& th : threads) th.join();
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          // Like a build work order: this thread's rows, batch by batch.
+          std::vector<uint64_t> hashes;
+          const uint32_t first = t * kRowsPerThread;
+          for (uint32_t base = 0; base < kRowsPerThread; base += batch) {
+            const uint32_t r = first + base;
+            table.InsertBatch(keys.data() + static_cast<size_t>(r) * words,
+                              payloads.data() + static_cast<size_t>(r) * 4,
+                              std::min(batch, kRowsPerThread - base),
+                              /*prefetch_distance=*/8, &hashes);
+          }
+        });
+      }
+      for (auto& th : threads) th.join();
 
-        const std::string where = "words=" + std::to_string(words) +
-                                  " radix=" + std::to_string(radix_bits) +
-                                  " batch=" + std::to_string(batch);
-        EXPECT_EQ(tables.size(), kRows) << where;
-        for (uint32_t p = 0; p < parts; ++p) {
-          EXPECT_EQ(tables.sub_table(p)->size(), counts[p]) << where;
+      const std::string where = "words=" + std::to_string(words) +
+                                " batch=" + std::to_string(batch);
+      EXPECT_EQ(table.size(), kRows) << where;
+      for (uint64_t k = 0; k < kDistinct; ++k) {
+        uint64_t key[2] = {k, k * 7 + 1};
+        std::vector<int32_t> got;
+        table.Probe(key, [&got](const std::byte* payload) {
+          int32_t v;
+          std::memcpy(&v, payload, 4);
+          got.push_back(v);
+        });
+        std::sort(got.begin(), got.end());
+        std::vector<int32_t> want;
+        for (uint64_t r = k; r < kRows; r += kDistinct) {
+          want.push_back(static_cast<int32_t>(r));
         }
-        for (uint64_t k = 0; k < kDistinct; ++k) {
-          uint64_t key[2] = {k, k * 7 + 1};
-          const JoinHashTable& table =
-              *tables.sub_table(PartitionOfKey(key, words, radix_bits));
-          std::vector<int32_t> got;
-          table.Probe(key, [&got](const std::byte* payload) {
-            int32_t v;
-            std::memcpy(&v, payload, 4);
-            got.push_back(v);
-          });
-          std::sort(got.begin(), got.end());
-          std::vector<int32_t> want;
-          for (uint64_t r = k; r < kRows; r += kDistinct) {
-            want.push_back(static_cast<int32_t>(r));
-          }
-          ASSERT_EQ(got, want) << where << " key=" << k;
-          if (words == 2) {
-            // The second word takes part in the match.
-            uint64_t other[2] = {k, k * 7 + 2};
-            int hits = 0;
-            tables.sub_table(PartitionOfKey(other, words, radix_bits))
-                ->Probe(other, [&hits](const std::byte*) { ++hits; });
-            EXPECT_EQ(hits, 0) << where << " key=" << k;
-          }
+        ASSERT_EQ(got, want) << where << " key=" << k;
+        if (words == 2) {
+          // The second word takes part in the match.
+          uint64_t other[2] = {k, k * 7 + 2};
+          int hits = 0;
+          table.Probe(other, [&hits](const std::byte*) { ++hits; });
+          EXPECT_EQ(hits, 0) << where << " key=" << k;
         }
       }
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baseline/materializing_engine.h"
 #include "exec/query_executor.h"
 #include "join/hash_table.h"
@@ -8,6 +10,7 @@
 #include "operators/nested_loops_join_operator.h"
 #include "operators/select_operator.h"
 #include "operators/sort_merge_join_operator.h"
+#include "plan/plan_builder.h"
 #include "storage/storage_manager.h"
 #include "test_util.h"
 #include "types/row_builder.h"
@@ -625,6 +628,104 @@ TEST_F(OperatorsTest, BatchedKernelParityEmptyInputs) {
   spec.probe_out = {0, 1};
   ExpectKernelParity(&storage_, *empty, *nonempty, spec, "empty probe");
   ExpectKernelParity(&storage_, *nonempty, *empty, spec, "empty build");
+}
+
+/// (k INT32, v DOUBLE) table with explicit key values; v = row index.
+std::unique_ptr<Table> MakeKeyTable(StorageManager* storage,
+                                    const std::string& name,
+                                    const std::vector<int32_t>& keys) {
+  Schema schema({{"k", Type::Int32()}, {"v", Type::Double()}});
+  auto table = std::make_unique<Table>(name, schema, Layout::kRowStore,
+                                       /*block_bytes=*/512, storage,
+                                       MemoryCategory::kBaseTable);
+  RowBuilder row(&table->schema());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    row.SetInt32(0, keys[i]);
+    row.SetDouble(1, static_cast<double>(i));
+    table->AppendRow(row.data());
+  }
+  return table;
+}
+
+/// Joins probe.k = build.k (probe columns, then build.v for inner joins)
+/// three ways and expects one answer: the row-at-a-time reference, the
+/// single-threaded operators, and a 2-worker session at a one-block UoT
+/// whose build and probe work orders share the table concurrently.
+/// Returns the number of result rows.
+uint64_t ExpectJoinAgrees(StorageManager* storage, const Table& probe,
+                          const Table& build, JoinKind kind,
+                          const std::string& label) {
+  MaterializingEngine::JoinSpec spec;
+  spec.build_keys = {0};
+  spec.build_payload = kind == JoinKind::kInner ? std::vector<int>{1}
+                                                : std::vector<int>{};
+  spec.probe_keys = {0};
+  spec.probe_out = {0, 1};
+  spec.kind = kind;
+  ExpectKernelParity(storage, probe, build, spec, label.c_str());
+  MaterializingEngine engine(storage);
+  const std::string expected = CanonicalRows(*engine.HashJoin(probe, build,
+                                                              spec));
+
+  PlanBuilderConfig plan_config;
+  plan_config.block_bytes = 512;
+  PlanBuilder builder(storage, plan_config);
+  BuildHashOperator* build_op =
+      builder.Build("build", PlanBuilder::Base(build), {0}, {1});
+  PlanBuilder::Src out = builder.Probe("probe", PlanBuilder::Base(probe),
+                                       build_op, {0}, {0, 1}, kind);
+  std::unique_ptr<QueryPlan> plan = builder.Finish(out);
+  ExecConfig exec;
+  exec.num_workers = 2;
+  exec.uot = UotPolicy::LowUot(1);
+  QueryExecutor::Execute(plan.get(), exec);
+  EXPECT_EQ(CanonicalRows(*plan->result_table()), expected) << label;
+  return plan->result_table()->NumRows();
+}
+
+TEST_F(OperatorsTest, SentinelJoinKeysMatchReference) {
+  // The engine has no SQL NULL; absent keys surface as sentinel values —
+  // zero, -1, INT32_MIN/MAX. They must hash and match like any other key,
+  // including the sign extension of the int32 -> uint64 widening.
+  auto build = MakeKeyTable(&storage_, "build",
+                            {0, -1, INT32_MIN, INT32_MAX, 99});
+  auto probe = MakeKeyTable(&storage_, "probe",
+                            {0, -1, INT32_MIN, INT32_MAX, 7, -7, 0, -1,
+                             INT32_MIN, 12345, -12345, 0});
+  // 8 probe rows carry one of the 4 matching sentinel keys; 4 match none.
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kInner,
+                             "inner"),
+            8u);
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kLeftSemi,
+                             "semi"),
+            8u);
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kLeftAnti,
+                             "anti"),
+            4u);
+}
+
+TEST_F(OperatorsTest, AllEqualKeysJoinIsFullCrossProduct) {
+  // One key on both sides: a single chain of 25 duplicates, probed by
+  // every one of 60 rows spread over several blocks and work orders.
+  auto build = MakeKeyTable(&storage_, "build", std::vector<int32_t>(25, 7));
+  auto probe = MakeKeyTable(&storage_, "probe", std::vector<int32_t>(60, 7));
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kInner,
+                             "inner"),
+            25u * 60u);
+}
+
+TEST_F(OperatorsTest, EmptyBuildSideJoinsThroughSession) {
+  auto build = MakeKeyTable(&storage_, "build", {});
+  auto probe = MakeKeyTable(&storage_, "probe", {1, 2, 3, 4, 5});
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kInner,
+                             "inner"),
+            0u);
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kLeftSemi,
+                             "semi"),
+            0u);
+  EXPECT_EQ(ExpectJoinAgrees(&storage_, *probe, *build, JoinKind::kLeftAnti,
+                             "anti"),
+            5u);
 }
 
 TEST_F(OperatorsTest, ProbeOutputSchemaComposition) {

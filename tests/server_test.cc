@@ -23,6 +23,7 @@
 #include "plan/plan_builder.h"
 #include "server/frontend.h"
 #include "server/plan_cache.h"
+#include "server/plan_compiler.h"
 #include "server/sql_parser.h"
 #include "server/text_server.h"
 #include "test_util.h"
@@ -132,10 +133,9 @@ TEST(SqlParserTest, ParsesValueLists) {
 // ---------------------------------------------------------------------------
 // Plan cache (unit)
 
-PlanCacheEntry MakeEntry(const std::string& fingerprint, int radix) {
+PlanCacheEntry MakeEntry(const std::string& fingerprint) {
   PlanCacheEntry entry;
   entry.fingerprint = fingerprint;
-  entry.radix_bits = radix;
   entry.choices.push_back(UotChoice{});
   return entry;
 }
@@ -145,9 +145,10 @@ TEST(PlanCacheTest, HitMissAndFingerprintInvalidation) {
   PlanCacheEntry out;
   EXPECT_EQ(cache.Lookup("q1", "fp-a", &out), PlanCache::Outcome::kMiss);
 
-  cache.Insert("q1", MakeEntry("fp-a", 3));
+  cache.Insert("q1", MakeEntry("fp-a"));
   EXPECT_EQ(cache.Lookup("q1", "fp-a", &out), PlanCache::Outcome::kHit);
-  EXPECT_EQ(out.radix_bits, 3);
+  EXPECT_EQ(out.fingerprint, "fp-a");
+  EXPECT_EQ(out.choices.size(), 1u);
 
   // A fingerprint mismatch (cardinality or knob drift) erases the entry:
   // the stale annotations must never be re-applied.
@@ -163,10 +164,10 @@ TEST(PlanCacheTest, HitMissAndFingerprintInvalidation) {
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   PlanCache cache(2);
   PlanCacheEntry out;
-  cache.Insert("a", MakeEntry("fp", 0));
-  cache.Insert("b", MakeEntry("fp", 0));
+  cache.Insert("a", MakeEntry("fp"));
+  cache.Insert("b", MakeEntry("fp"));
   EXPECT_EQ(cache.Lookup("a", "fp", &out), PlanCache::Outcome::kHit);
-  cache.Insert("c", MakeEntry("fp", 0));  // evicts b (LRU), not a
+  cache.Insert("c", MakeEntry("fp"));  // evicts b (LRU), not a
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Lookup("b", "fp", &out), PlanCache::Outcome::kMiss);
@@ -177,7 +178,7 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
 TEST(PlanCacheTest, CapacityZeroDisablesCaching) {
   PlanCache cache(0);
   PlanCacheEntry out;
-  cache.Insert("a", MakeEntry("fp", 0));
+  cache.Insert("a", MakeEntry("fp"));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup("a", "fp", &out), PlanCache::Outcome::kMiss);
 }
@@ -385,10 +386,10 @@ TEST_F(FrontEndTest, KnobChangesProduceDistinctFingerprints) {
   FrontEnd batch_changed(batch_config, &catalog_);
   EXPECT_NE(base.KnobFingerprint(), batch_changed.KnobFingerprint());
 
-  FrontEndConfig radix_config = SmallConfig();
-  radix_config.plan.join_radix_bits = 4;
-  FrontEnd radix_changed(radix_config, &catalog_);
-  EXPECT_NE(base.KnobFingerprint(), radix_changed.KnobFingerprint());
+  FrontEndConfig lip_config = SmallConfig();
+  lip_config.plan.use_lip = !lip_config.plan.use_lip;
+  FrontEnd lip_changed(lip_config, &catalog_);
+  EXPECT_NE(base.KnobFingerprint(), lip_changed.KnobFingerprint());
 
   FrontEndConfig budget_config = SmallConfig();
   budget_config.engine.memory_budget_bytes = 64u << 20;
@@ -485,6 +486,18 @@ TEST_F(FrontEndTest, NonKeyableGroupAndJoinColumnsAreRejected) {
       {"select k, count(*) from fact group by k", "default"});
   ASSERT_TRUE(ok.ok) << ok.error;
   EXPECT_EQ(ok.row_count, 10u);
+}
+
+TEST_F(FrontEndTest, CompileRejectsNonZeroReservedArgument) {
+  SelectStatement stmt;
+  ASSERT_TRUE(ParseSelect("select k from fact", &stmt).ok());
+  const PlanCompiler compiler(&catalog_, PlanBuilderConfig{});
+  std::unique_ptr<QueryPlan> plan;
+  EXPECT_EQ(compiler.Compile(stmt, {}, 1, &plan).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan, nullptr);
+  EXPECT_TRUE(compiler.Compile(stmt, {}, 0, &plan).ok());
+  EXPECT_NE(plan, nullptr);
 }
 
 TEST_F(FrontEndTest, PreparedStatementsShareOneTemplate) {

@@ -166,19 +166,18 @@ class FuzzRng {
 };
 
 /// A seeded random join-tree query for differential (parity) testing: the
-/// same spec can be instantiated as an unpartitioned or radix-partitioned
-/// plan any number of times, over the same generated base tables, so byte
-/// parity of CanonicalRows across {radix_bits, join kernel, UoT policy} is
-/// a meaningful assertion.
+/// same spec can be instantiated as a plan any number of times, over the
+/// same generated base tables, so byte parity of CanonicalRows across
+/// {UoT, pipeline mode} is a meaningful assertion.
 ///
 /// Shape: a left-deep chain of 1..3 hash joins over one probe table.
 /// Randomized per seed: join kinds (inner/semi/anti), key column types
 /// (INT32/INT64), one- vs two-column keys, residual (non-equi) conditions,
 /// an optional pre-join selection, an optional LIP filter, and the probe
-/// key distributions — uniform, heavy-hitter (~75% of rows share one key,
-/// the radix skew case), and all-duplicates (a constant column: every row
-/// lands in one partition). Key domains include negative values and 0 so
-/// sentinel/zero keys are always in play.
+/// key distributions — uniform, heavy-hitter (~75% of rows share one key),
+/// and all-duplicates (a constant column: every row has one key). Key
+/// domains include negative values and 0 so sentinel/zero keys are always
+/// in play.
 class RandomJoinQuery {
  public:
   RandomJoinQuery(StorageManager* storage, uint64_t seed) : seed_(seed) {
@@ -289,7 +288,6 @@ class RandomJoinQuery {
   }
 
   uint64_t seed() const { return seed_; }
-  int num_joins() const { return num_joins_; }
 
   std::string Description() const {
     std::string out = "seed=" + std::to_string(seed_) +
@@ -310,16 +308,11 @@ class RandomJoinQuery {
     return out;
   }
 
-  /// A fresh plan over this query's tables. `radix_bits` 0 keeps every
-  /// join on the single shared-table path; > 0 exchanges both sides of
-  /// every join into 2^radix_bits partitions. Results must be
-  /// byte-identical either way.
-  std::unique_ptr<QueryPlan> MakePlan(StorageManager* storage,
-                                      int radix_bits) const {
+  /// A fresh plan over this query's tables.
+  std::unique_ptr<QueryPlan> MakePlan(StorageManager* storage) const {
     PlanBuilderConfig config;
     config.block_bytes = 2048;
     config.use_lip = use_lip_;
-    config.join_radix_bits = radix_bits;
     PlanBuilder builder(storage, config);
 
     // Builds first so a LIP-bearing selection can reference build 0.
